@@ -49,6 +49,7 @@ from .conjectures import (
     scan,
 )
 from .errors import (
+    InvariantViolation,
     KroncaveError,
     NotIntegral,
     PadTooSmall,

@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from functools import lru_cache
 
-from .errors import SizeMismatch
+from .errors import InvariantViolation, SizeMismatch
 from .partitions import Partition, partitions_of, syt_count
 
 
@@ -31,9 +31,9 @@ class CycleType:
         for length, mult in self.multiplicities.items():
             z *= length**mult * math.factorial(mult)
         self.centralizer_order = z
-        fact = math.factorial(self.n)
-        assert fact % z == 0
-        self.class_size = fact // z
+        self.class_size, rest = divmod(math.factorial(self.n), z)
+        if rest:
+            raise InvariantViolation(f"centralizer order {z} does not divide {self.n}!")
 
     def sign(self) -> int:
         return -1 if (self.n - len(self.parts)) % 2 else 1
@@ -122,10 +122,11 @@ class CharacterTable:
         return character_value(lam, parts, self._memo)
 
     def dimension(self, lam: Partition) -> int:
-        """Character on the identity class, asserted against the hook count."""
+        """Character on the identity class, checked against the hook count."""
         value = self.character(lam, (1,) * sum(lam))
         expected = syt_count(lam)
-        assert value == expected, f"dimension mismatch for {lam}: {value} != {expected}"
+        if value != expected:
+            raise InvariantViolation(f"dimension mismatch for {lam}: {value} != {expected}")
         return value
 
     def clear(self):
@@ -138,9 +139,9 @@ class CharacterTable:
 DEFAULT_TABLE = CharacterTable()
 
 
-def character(lam: Partition, rho, table: CharacterTable | None = None) -> int:
-    return (table or DEFAULT_TABLE).character(lam, rho)
+def character(lam: Partition, rho) -> int:
+    return DEFAULT_TABLE.character(lam, rho)
 
 
-def dimension(lam: Partition, table: CharacterTable | None = None) -> int:
-    return (table or DEFAULT_TABLE).dimension(lam)
+def dimension(lam: Partition) -> int:
+    return DEFAULT_TABLE.dimension(lam)

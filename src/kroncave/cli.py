@@ -1,8 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 for success (including "check passed"), 1 when a check or scan
-found violations, 2 for usage or parse errors. All numeric output is exact
-decimal.
+found violations, 2 for usage or parse errors, 3 when an internal invariant
+check failed (an engine bug). All numeric output is exact decimal.
 """
 
 from __future__ import annotations
@@ -23,25 +23,13 @@ from .coefficients import (
 )
 from .conjectures import (
     SCAN_CONJECTURES,
-    check_chain_conjecture,
     check_dim_log_concavity,
-    check_midpoint_kronecker,
-    check_midpoint_reduced,
     check_saturation,
-    check_schur_log_concavity,
-    check_sort_conjecture,
+    run_check,
     run_golden_suite,
     scan,
 )
-from .errors import (
-    KroncaveError,
-    NotIntegral,
-    PadTooSmall,
-    PartitionParseError,
-    SizeMismatch,
-    StabilizationNotDetected,
-    StoreIOError,
-)
+from .errors import InvariantViolation, KroncaveError
 from .partitions import pad
 from .store import CoefficientCache, format_partition, parse_partition_text, resolve_cache_path
 
@@ -81,30 +69,14 @@ def _decomposition_json(items) -> str:
 # -- handlers -----------------------------------------------------------------
 
 
-def _cmd_kron(args) -> int:
+def _cmd_coefficient(args) -> int:
+    """kron and lr: args.kind names the cache kind, args.compute the function."""
     cache = _cache_for(args, enabled=args.cache_all)
-    if cache is not None:
-        hit = cache.get("kron", args.lam, args.mu, args.nu)
-        if hit is not None:
-            print(hit)
-            return 0
-    value = kronecker(args.lam, args.mu, args.nu)
-    if cache is not None:
-        cache.put("kron", args.lam, args.mu, args.nu, value)
-    print(value)
-    return 0
-
-
-def _cmd_lr(args) -> int:
-    cache = _cache_for(args, enabled=args.cache_all)
-    if cache is not None:
-        hit = cache.get("lr", args.lam, args.mu, args.nu)
-        if hit is not None:
-            print(hit)
-            return 0
-    value = lr_coefficient(args.lam, args.mu, args.nu)
-    if cache is not None:
-        cache.put("lr", args.lam, args.mu, args.nu, value)
+    value = None if cache is None else cache.get(args.kind, args.lam, args.mu, args.nu)
+    if value is None:
+        value = args.compute(args.lam, args.mu, args.nu)
+        if cache is not None:
+            cache.put(args.kind, args.lam, args.mu, args.nu, value)
     print(value)
     return 0
 
@@ -156,47 +128,39 @@ def _cmd_closed_form(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    cache = _cache_for(args)
-    name = args.conjecture
-    if name == "midpoint-reduced":
-        report = check_midpoint_reduced(
-            args.lam, args.mu, window=args.window, cap=args.cap, cache=cache
-        )
-    elif name == "midpoint-kronecker":
-        report = check_midpoint_kronecker(args.lam, args.mu)
-    elif name == "sort":
-        report = check_sort_conjecture(
-            args.lam, args.mu, window=args.window, cap=args.cap, cache=cache
-        )
-    elif name == "chain":
-        report = check_chain_conjecture(
-            args.part, window=args.window, cap=args.cap, cache=cache
-        )
-    elif name == "schur-lr":
-        report = check_schur_log_concavity(args.lam, args.mu)
-    elif name == "dim-log-concavity":
-        result = check_dim_log_concavity(args.lam, args.mu, args.d)
-        _emit(
-            json.dumps({"holds": result.holds, "lhs": result.lhs, "rhs": result.rhs}, indent=2),
-            args.out,
-        )
-        return 0 if result.holds else 1
-    elif name == "saturation":
-        values = check_saturation(
-            args.lam,
-            args.mu,
-            args.nu,
-            args.k_max,
-            args.mode,
-            window=args.window,
-            cap=args.cap,
-            cache=cache,
-        )
-        _emit(json.dumps([[k, nonzero] for k, nonzero in values], indent=2), args.out)
-        return 0
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown check {name!r}")
+    payload = args.part if args.conjecture == "chain" else (args.lam, args.mu)
+    report = run_check(
+        args.conjecture.replace("-", "_"),
+        payload,
+        window=args.window,
+        cap=args.cap,
+        cache=_cache_for(args),
+    )
     return _report_exit(report, args.out)
+
+
+def _cmd_dim_log_concavity(args) -> int:
+    result = check_dim_log_concavity(args.lam, args.mu, args.d)
+    _emit(
+        json.dumps({"holds": result.holds, "lhs": result.lhs, "rhs": result.rhs}, indent=2),
+        args.out,
+    )
+    return 0 if result.holds else 1
+
+
+def _cmd_saturation(args) -> int:
+    values = check_saturation(
+        args.lam,
+        args.mu,
+        args.nu,
+        args.k_max,
+        args.mode,
+        window=args.window,
+        cap=args.cap,
+        cache=_cache_for(args),
+    )
+    _emit(json.dumps([[k, nonzero] for k, nonzero in values], indent=2), args.out)
+    return 0
 
 
 def _cmd_scan(args) -> int:
@@ -249,17 +213,15 @@ def build_parser() -> argparse.ArgumentParser:
         _partition_flag(p, "--mu", "mu")
         _partition_flag(p, "--nu", "nu")
 
-    p = sub.add_parser("kron", help="Kronecker coefficient of three same-size partitions")
-    triple(p)
-    p.add_argument("--cache", default=None)
-    p.add_argument("--cache-all", action="store_true", help="persist kron results too")
-    p.set_defaults(handler=_cmd_kron)
-
-    p = sub.add_parser("lr", help="Littlewood-Richardson coefficient")
-    triple(p)
-    p.add_argument("--cache", default=None)
-    p.add_argument("--cache-all", action="store_true", help="persist lr results too")
-    p.set_defaults(handler=_cmd_lr)
+    for kind, compute, help_text in (
+        ("kron", kronecker, "Kronecker coefficient of three same-size partitions"),
+        ("lr", lr_coefficient, "Littlewood-Richardson coefficient"),
+    ):
+        p = sub.add_parser(kind, help=help_text)
+        triple(p)
+        p.add_argument("--cache", default=None)
+        p.add_argument("--cache-all", action="store_true", help=f"persist {kind} results too")
+        p.set_defaults(handler=_cmd_coefficient, kind=kind, compute=compute)
 
     p = sub.add_parser("redkron", help="reduced (stable) Kronecker coefficient")
     triple(p)
@@ -335,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     _partition_flag(c, "--mu", "mu")
     c.add_argument("--d", type=int, required=True)
     c.add_argument("--out", default=None)
-    c.set_defaults(handler=_cmd_check)
+    c.set_defaults(handler=_cmd_dim_log_concavity)
     c = checks.add_parser("saturation")
     _partition_flag(c, "--lambda", "lam")
     _partition_flag(c, "--mu", "mu")
@@ -345,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     _stabilization_flags(c)
     c.add_argument("--cache", default=None)
     c.add_argument("--out", default=None)
-    c.set_defaults(handler=_cmd_check)
+    c.set_defaults(handler=_cmd_saturation)
 
     p = sub.add_parser("scan", help="scan a conjecture over all pairs within a box budget")
     p.add_argument("conjecture", choices=[n.replace("_", "-") for n in SCAN_CONJECTURES])
@@ -375,18 +337,10 @@ def run_command(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except StabilizationNotDetected as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        PartitionParseError,
-        NotIntegral,
-        SizeMismatch,
-        PadTooSmall,
-        StoreIOError,
-        KroncaveError,
-        ValueError,
-    ) as exc:
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except (KroncaveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

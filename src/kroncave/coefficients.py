@@ -1,19 +1,19 @@
 """The three coefficient families and the stable representation ring.
 
 Kronecker coefficients are exact class-weighted character sums; the n!
-division is done once per query with a divisibility assertion so arithmetic
-bugs fail loudly instead of rounding. Littlewood-Richardson coefficients count
-skew tableaux by depth-first construction with lattice pruning. Reduced
-Kronecker coefficients are the stable values of padded Kronecker sequences,
-detected by a plateau protocol:
+division is checked exact on every query (InvariantViolation otherwise) so
+arithmetic bugs fail loudly instead of rounding. Littlewood-Richardson
+coefficients count skew tableaux by depth-first construction with lattice
+pruning. Reduced Kronecker coefficients are the stable values of padded
+Kronecker sequences, detected by a plateau protocol:
 
   start at d0 = max(|lam|+lam1, |mu|+mu1, |nu|+nu1, |lam|+|mu|+|nu|), step d
   upward, and accept as soon as `window` consecutive values agree (default 2).
   Beyond the hard cap d0 + 2*(|lam|+|mu|+|nu|) + 2 the computation refuses to
   answer (StabilizationNotDetected) rather than guess.
 
-Padded sequences are weakly increasing, which the engine also asserts on every
-trace; a decrease is an implementation bug, never data.
+Padded sequences are weakly increasing, which the engine also checks on every
+trace; a decrease is an implementation bug (InvariantViolation), never data.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
-from .characters import CharacterTable, DEFAULT_TABLE, cycle_types
-from .errors import SizeMismatch, StabilizationNotDetected
+from .characters import DEFAULT_TABLE, cycle_types
+from .errors import InvariantViolation, SizeMismatch, StabilizationNotDetected
 from .partitions import (
     EMPTY,
     Partition,
@@ -40,7 +40,7 @@ DEFAULT_WINDOW = 2
 _PAIR_WEIGHTS: dict = {}
 # (pair key, nu, window, cap) -> stable value
 _REDUCED_MEMO: dict = {}
-# (pair key, window, cap) -> VirtualStableRep coefficient dict
+# (pair key, window, cap) -> stable VirtualRep coefficient dict
 _STABLE_PRODUCTS: dict = {}
 
 
@@ -53,19 +53,20 @@ def clear_caches() -> None:
     cycle_types.cache_clear()
 
 
-def _pair_weights(lam: Partition, mu: Partition, table: CharacterTable):
+def _pair_weights(lam: Partition, mu: Partition):
     key = (lam, mu) if lam <= mu else (mu, lam)
     hit = _PAIR_WEIGHTS.get(key)
     if hit is not None:
         return hit
     a, b = key
     same = a == b
+    character = DEFAULT_TABLE.character
     out = []
     for ct in cycle_types(sum(a)):
-        xa = table.character(a, ct)
+        xa = character(a, ct)
         if xa == 0:
             continue
-        xb = xa if same else table.character(b, ct)
+        xb = xa if same else character(b, ct)
         if xb == 0:
             continue
         out.append((ct.parts, ct.class_size * xa * xb))
@@ -73,44 +74,55 @@ def _pair_weights(lam: Partition, mu: Partition, table: CharacterTable):
     return out
 
 
-def kronecker(
-    lam: Partition, mu: Partition, nu: Partition, *, table: CharacterTable | None = None
-) -> int:
+def _class_sum(weights, nu: Partition, n: int) -> int:
+    """Multiplicity of nu: the pair's class-weighted character sum over n!."""
+    character = DEFAULT_TABLE.character
+    total = 0
+    for parts, weight in weights:
+        x = character(nu, parts)
+        if x:
+            total += weight * x
+    value, rest = divmod(total, math.factorial(n))
+    if rest:
+        raise InvariantViolation(f"non-integral character sum {total} for {nu} in S_{n}")
+    if value < 0:
+        raise InvariantViolation(f"negative multiplicity {value} for {nu} in S_{n}")
+    return value
+
+
+def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Multiplicity of nu in the symmetric group tensor product lam (x) mu."""
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         raise SizeMismatch(f"sizes differ: {sum(lam)}, {sum(mu)}, {sum(nu)}")
-    table = table or DEFAULT_TABLE
-    total = 0
-    for parts, weight in _pair_weights(lam, mu, table):
-        x = table.character(nu, parts)
-        if x:
-            total += weight * x
-    fact = math.factorial(n)
-    assert total % fact == 0, f"non-integral character sum for {lam},{mu},{nu}"
-    value = total // fact
-    assert value >= 0, f"negative multiplicity for {lam},{mu},{nu}"
-    return value
+    return _class_sum(_pair_weights(lam, mu), nu, n)
 
 
 class VirtualRep:
-    """Finite integer combination of irreducibles of a fixed S_n.
+    """Finite integer combination of irreducible classes.
 
-    Negative coefficients are allowed (virtual characters); zero coefficients
-    are never stored.
+    With n set, keys are partitions of n: a virtual character of S_n. With
+    n None, keys are stable classes of any sizes, multiplied by reduced
+    Kronecker coefficients, under which the class of the empty partition is
+    the unit. Negative coefficients are allowed; zero coefficients are never
+    stored.
     """
 
     __slots__ = ("n", "coeffs")
 
-    def __init__(self, n: int, coeffs: dict[Partition, int] | None = None):
+    def __init__(self, coeffs: dict[Partition, int] | None = None, n: int | None = None):
         self.n = n
         cleaned = {}
         for p, c in (coeffs or {}).items():
-            if sum(p) != n:
+            if n is not None and sum(p) != n:
                 raise SizeMismatch(f"{p} is not a partition of {n}")
             if c:
                 cleaned[p] = c
         self.coeffs = cleaned
+
+    @classmethod
+    def single(cls, p: Partition, coeff: int = 1) -> "VirtualRep":
+        return cls({tuple(p): coeff})
 
     def __getitem__(self, p: Partition) -> int:
         return self.coeffs.get(tuple(p), 0)
@@ -120,17 +132,22 @@ class VirtualRep:
 
     def _combine(self, other: "VirtualRep", sign: int) -> "VirtualRep":
         if self.n != other.n:
-            raise SizeMismatch(f"cannot combine S_{self.n} with S_{other.n}")
+            raise SizeMismatch(f"cannot combine reps with n={self.n} and n={other.n}")
         merged = dict(self.coeffs)
         for p, c in other.coeffs.items():
             merged[p] = merged.get(p, 0) + sign * c
-        return VirtualRep(self.n, merged)
+        return VirtualRep(merged, self.n)
 
     def __add__(self, other):
         return self._combine(other, 1)
 
     def __sub__(self, other):
         return self._combine(other, -1)
+
+    def __mul__(self, other):
+        if self.n is not None or other.n is not None:
+            return NotImplemented  # only stable classes multiply here
+        return stable_ring_multiply(self, other)
 
     def __eq__(self, other):
         return (
@@ -140,32 +157,20 @@ class VirtualRep:
         )
 
     def __repr__(self):
-        return f"VirtualRep(n={self.n}, {dict(self.items())!r})"
+        n = "" if self.n is None else f"n={self.n}, "
+        return f"VirtualRep({n}{dict(self.items())!r})"
 
 
-def tensor_decompose(
-    lam: Partition, mu: Partition, *, table: CharacterTable | None = None
-) -> VirtualRep:
+VirtualStableRep = VirtualRep
+
+
+def tensor_decompose(lam: Partition, mu: Partition) -> VirtualRep:
     """Full decomposition of the S_n tensor product lam (x) mu."""
     n = sum(lam)
     if sum(mu) != n:
         raise SizeMismatch(f"sizes differ: {sum(lam)} vs {sum(mu)}")
-    table = table or DEFAULT_TABLE
-    weights = _pair_weights(lam, mu, table)
-    fact = math.factorial(n)
-    coeffs = {}
-    for nu in partitions_of(n):
-        total = 0
-        for parts, weight in weights:
-            x = table.character(nu, parts)
-            if x:
-                total += weight * x
-        assert total % fact == 0
-        value = total // fact
-        assert value >= 0
-        if value:
-            coeffs[nu] = value
-    return VirtualRep(n, coeffs)
+    weights = _pair_weights(lam, mu)
+    return VirtualRep({nu: _class_sum(weights, nu, n) for nu in partitions_of(n)}, n)
 
 
 def _contains(outer: Partition, inner: Partition) -> bool:
@@ -256,13 +261,9 @@ def kronecker_sequence(
     mu: Partition,
     nu: Partition,
     d_values: Iterable[int],
-    *,
-    table: CharacterTable | None = None,
 ) -> list[int]:
     """Padded Kronecker coefficients over the given d values."""
-    return [
-        kronecker(pad(lam, d), pad(mu, d), pad(nu, d), table=table) for d in d_values
-    ]
+    return [kronecker(pad(lam, d), pad(mu, d), pad(nu, d)) for d in d_values]
 
 
 def reduced_kronecker(
@@ -272,7 +273,6 @@ def reduced_kronecker(
     *,
     window: int | None = None,
     cap: int | None = None,
-    table: CharacterTable | None = None,
     cache=None,
 ) -> int:
     """Stable value of the padded Kronecker sequence for this triple.
@@ -305,9 +305,9 @@ def reduced_kronecker(
     streak = 0
     prev = None
     for d in range(d0, hard_cap + 1):
-        value = kronecker(pad(lam, d), pad(mu, d), pad(nu, d), table=table)
-        if prev is not None:
-            assert value >= prev, f"padded sequence decreased for {lam},{mu},{nu}"
+        value = kronecker(pad(lam, d), pad(mu, d), pad(nu, d))
+        if prev is not None and value < prev:
+            raise InvariantViolation(f"padded sequence decreased for {lam},{mu},{nu}")
         streak = streak + 1 if value == prev else 1
         prev = value
         if streak >= window:
@@ -320,59 +320,14 @@ def reduced_kronecker(
     )
 
 
-class VirtualStableRep:
-    """Finite integer combination of stable classes, one per partition.
-
-    Keys of any sizes may be mixed; products are governed by reduced Kronecker
-    coefficients, under which the class of the empty partition is the unit.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[Partition, int] | None = None):
-        self.coeffs = {p: c for p, c in (coeffs or {}).items() if c}
-
-    @classmethod
-    def single(cls, p: Partition, coeff: int = 1) -> "VirtualStableRep":
-        return cls({tuple(p): coeff})
-
-    def __getitem__(self, p: Partition) -> int:
-        return self.coeffs.get(tuple(p), 0)
-
-    def items(self):
-        return sorted(self.coeffs.items(), key=lambda kv: canonical_key(kv[0]))
-
-    def _combine(self, other: "VirtualStableRep", sign: int) -> "VirtualStableRep":
-        merged = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            merged[p] = merged.get(p, 0) + sign * c
-        return VirtualStableRep(merged)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __mul__(self, other):
-        return stable_ring_multiply(self, other)
-
-    def __eq__(self, other):
-        return isinstance(other, VirtualStableRep) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"VirtualStableRep({dict(self.items())!r})"
-
-
 def reduced_tensor_decompose(
     lam: Partition,
     mu: Partition,
     *,
     window: int | None = None,
     cap: int | None = None,
-    table: CharacterTable | None = None,
     cache=None,
-) -> VirtualStableRep:
+) -> VirtualRep:
     """Stable product of two single classes, expanded over all partitions.
 
     Support is finite: coefficients vanish outside sizes |nu| <= |lam|+|mu|
@@ -385,42 +340,36 @@ def reduced_tensor_decompose(
     key = (pair, window_r, cap)
     hit = _STABLE_PRODUCTS.get(key)
     if hit is not None:
-        return VirtualStableRep(hit)
+        return VirtualRep(hit)
     coeffs = {}
     for size in range(sum(lam) + sum(mu) + 1):
         for nu in sorted(partitions_of(size)):
             if not murnaghan_inequalities(lam, mu, nu):
                 continue
-            value = reduced_kronecker(
-                lam, mu, nu, window=window, cap=cap, table=table, cache=cache
-            )
-            assert value >= 0
+            value = reduced_kronecker(lam, mu, nu, window=window, cap=cap, cache=cache)
             if value:
                 coeffs[nu] = value
     _STABLE_PRODUCTS[key] = coeffs
-    return VirtualStableRep(coeffs)
+    return VirtualRep(coeffs)
 
 
 def stable_ring_multiply(
-    a: VirtualStableRep,
-    b: VirtualStableRep,
+    a: VirtualRep,
+    b: VirtualRep,
     *,
     window: int | None = None,
     cap: int | None = None,
-    table: CharacterTable | None = None,
     cache=None,
-) -> VirtualStableRep:
+) -> VirtualRep:
     """Bilinear extension of the single-class stable product."""
     out: dict[Partition, int] = {}
     for p, cp in a.items():
         for q, cq in b.items():
-            block = reduced_tensor_decompose(
-                p, q, window=window, cap=cap, table=table, cache=cache
-            )
+            block = reduced_tensor_decompose(p, q, window=window, cap=cap, cache=cache)
             factor = cp * cq
             for nu, g in block.coeffs.items():
                 out[nu] = out.get(nu, 0) + factor * g
-    return VirtualStableRep(out)
+    return VirtualRep(out)
 
 
 class CompareResult(NamedTuple):
@@ -431,7 +380,7 @@ class CompareResult(NamedTuple):
     positive: dict  # nu -> (a-b)[nu] > 0, the witnesses against B >= A
 
 
-def stable_ring_compare(a: VirtualStableRep, b: VirtualStableRep) -> CompareResult:
+def stable_ring_compare(a: VirtualRep, b: VirtualRep) -> CompareResult:
     diff = a - b
     negative = {p: c for p, c in diff.items() if c < 0}
     positive = {p: c for p, c in diff.items() if c > 0}

@@ -13,11 +13,12 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator, NamedTuple, Sequence
 
 from .closed_forms import reduced_hook, reduced_two_row
 from .coefficients import (
-    VirtualStableRep,
+    VirtualRep,
     kronecker,
     lr_coefficient,
     reduced_kronecker,
@@ -39,7 +40,7 @@ from .partitions import (
     syt_count,
     union_parts,
 )
-from .store import ENGINE_VERSION, RecordingCache, format_partition
+from .store import RecordingCache, format_partition
 
 
 @dataclass(frozen=True)
@@ -91,13 +92,25 @@ def _elapsed_ms(start: float) -> int:
     return int((time.monotonic() - start) * 1000)
 
 
-def _compare_violations(lam, mu, bigger: VirtualStableRep, smaller: VirtualStableRep):
+def _compare_violations(lam_text, mu_text, bigger: VirtualRep, smaller: VirtualRep):
     cmp = stable_ring_compare(bigger, smaller)
-    lam_text, mu_text = format_partition(lam), format_partition(mu)
     return [
         Violation(lam_text, mu_text, format_partition(nu), bigger[nu], smaller[nu])
         for nu in sorted(cmp.negative, key=canonical_key)
     ]
+
+
+def _dominance_report(subject, start, lam, mu, big_pair, **kw) -> ViolationReport:
+    """Does the stable product of big_pair dominate that of (lam, mu)?"""
+    bigger = reduced_tensor_decompose(*big_pair, **kw)
+    smaller = reduced_tensor_decompose(lam, mu, **kw)
+    lam_text, mu_text = format_partition(lam), format_partition(mu)
+    return ViolationReport(
+        subject=f"{subject} lambda={lam_text} mu={mu_text}",
+        pairs_scanned=1,
+        violations=_compare_violations(lam_text, mu_text, bigger, smaller),
+        elapsed_ms=_elapsed_ms(start),
+    )
 
 
 def check_midpoint_reduced(
@@ -106,14 +119,8 @@ def check_midpoint_reduced(
     """Does the squared midpoint class dominate the stable product of the pair?"""
     start = time.monotonic()
     mid = midpoint(lam, mu, "exact")  # NotIntegral propagates to the caller
-    kw = dict(window=window, cap=cap, cache=cache)
-    bigger = reduced_tensor_decompose(mid, mid, **kw)
-    smaller = reduced_tensor_decompose(lam, mu, **kw)
-    return ViolationReport(
-        subject=f"midpoint-reduced lambda={format_partition(lam)} mu={format_partition(mu)}",
-        pairs_scanned=1,
-        violations=_compare_violations(lam, mu, bigger, smaller),
-        elapsed_ms=_elapsed_ms(start),
+    return _dominance_report(
+        "midpoint-reduced", start, lam, mu, (mid, mid), window=window, cap=cap, cache=cache
     )
 
 
@@ -145,15 +152,8 @@ def check_sort_conjecture(
 ) -> ViolationReport:
     """Does the sorted-split pair dominate the original pair in the stable ring?"""
     start = time.monotonic()
-    s1, s2 = sort_split(lam, mu)
-    kw = dict(window=window, cap=cap, cache=cache)
-    bigger = reduced_tensor_decompose(s1, s2, **kw)
-    smaller = reduced_tensor_decompose(lam, mu, **kw)
-    return ViolationReport(
-        subject=f"sort lambda={format_partition(lam)} mu={format_partition(mu)}",
-        pairs_scanned=1,
-        violations=_compare_violations(lam, mu, bigger, smaller),
-        elapsed_ms=_elapsed_ms(start),
+    return _dominance_report(
+        "sort", start, lam, mu, sort_split(lam, mu), window=window, cap=cap, cache=cache
     )
 
 
@@ -177,24 +177,19 @@ def check_chain_conjecture(
     kw = dict(window=window, cap=cap, cache=cache)
 
     def left_product(classes):
-        acc = VirtualStableRep.single(classes[0])
+        acc = VirtualRep.single(classes[0])
         for p in classes[1:]:
-            acc = stable_ring_multiply(acc, VirtualStableRep.single(p), **kw)
+            acc = stable_ring_multiply(acc, VirtualRep.single(p), **kw)
         return acc
 
     bigger = left_product(splits)
     smaller = left_product(list(parts))
-    cmp = stable_ring_compare(bigger, smaller)
     inputs_text = ";".join(format_partition(p) for p in parts)
     splits_text = ";".join(format_partition(p) for p in splits)
-    violations = [
-        Violation(inputs_text, splits_text, format_partition(nu), bigger[nu], smaller[nu])
-        for nu in sorted(cmp.negative, key=canonical_key)
-    ]
     return ViolationReport(
         subject=f"chain n={n} parts={inputs_text}",
         pairs_scanned=1,
-        violations=violations,
+        violations=_compare_violations(inputs_text, splits_text, bigger, smaller),
         elapsed_ms=_elapsed_ms(start),
     )
 
@@ -338,37 +333,59 @@ SCAN_CONJECTURES = ("midpoint_reduced", "midpoint_kronecker", "sort", "chain", "
 _WORKER_CACHE = None
 
 
-def _worker_init(cache_path, engine_version):
+def _worker_init(cache) -> None:
     global _WORKER_CACHE
-    _WORKER_CACHE = (
-        RecordingCache(cache_path, engine_version) if cache_path else None
-    )
+    _WORKER_CACHE = cache
 
 
-def _dispatch(name: str, payload, window, cap, cache) -> ViolationReport:
+def run_check(name: str, payload, *, window=None, cap=None, cache=None) -> ViolationReport:
+    """Run the per-pair check of one of SCAN_CONJECTURES on one payload.
+
+    The payload is a (lam, mu) pair, or the list of parts for "chain".
+    """
+    kw = dict(window=window, cap=cap, cache=cache)
     if name == "midpoint_reduced":
-        return check_midpoint_reduced(*payload, window=window, cap=cap, cache=cache)
+        return check_midpoint_reduced(*payload, **kw)
     if name == "midpoint_kronecker":
         return check_midpoint_kronecker(*payload)
     if name == "sort":
-        return check_sort_conjecture(*payload, window=window, cap=cap, cache=cache)
+        return check_sort_conjecture(*payload, **kw)
     if name == "chain":
-        return check_chain_conjecture(payload, window=window, cap=cap, cache=cache)
+        return check_chain_conjecture(payload, **kw)
     if name == "schur_lr":
         return check_schur_log_concavity(*payload)
     raise ValueError(f"unknown conjecture {name!r}")
 
 
-def _scan_task(args):
-    name, payload, window, cap = args
-    cache = _WORKER_CACHE
+def _scan_task(task, cache):
+    """(violations, or None when skipped; cache records buffered for the parent)."""
+    name, payload, window, cap = task
     try:
-        report = _dispatch(name, payload, window, cap, cache)
+        violations = run_check(name, payload, window=window, cap=cap, cache=cache).violations
     except (NotIntegral, SizeMismatch):
-        records = tuple(cache.drain()) if cache is not None else ()
-        return (0, 1, (), records)
-    records = tuple(cache.drain()) if cache is not None else ()
-    return (1, 0, tuple(report.violations), records)
+        violations = None
+    records = cache.drain() if isinstance(cache, RecordingCache) else ()
+    return violations, records
+
+
+def _worker_task(task):
+    """Pool entry point: runs the task against this worker's RecordingCache."""
+    return _scan_task(task, _WORKER_CACHE)
+
+
+def _merge(results, cache):
+    """Fold task results in enumeration order, replaying buffered cache records."""
+    scanned = skipped = 0
+    violations: list[Violation] = []
+    for found, records in results:
+        if found is None:
+            skipped += 1
+            continue
+        scanned += 1
+        violations.extend(found)
+        for record in records:
+            cache.put_record(record)
+    return scanned, skipped, violations
 
 
 def scan(
@@ -399,32 +416,20 @@ def scan(
     else:
         payloads = list(_pairs_with_total(max_boxes, equal_sizes=name == "midpoint_kronecker"))
         subject = f"scan:{name}:max_boxes={max_boxes}"
-    scanned = skipped = 0
-    violations: list[Violation] = []
+    tasks = ((name, payload, window, cap) for payload in payloads)
     if jobs <= 1:
-        for payload in payloads:
-            try:
-                report = _dispatch(name, payload, window, cap, cache)
-            except (NotIntegral, SizeMismatch):
-                skipped += 1
-                continue
-            scanned += 1
-            violations.extend(report.violations)
+        results = map(partial(_scan_task, cache=cache), tasks)
+        scanned, skipped, violations = _merge(results, cache)
     else:
-        tasks = [(name, payload, window, cap) for payload in payloads]
-        cache_path = cache.path if cache is not None else None
-        version = cache.engine_version if cache is not None else ENGINE_VERSION
+        worker_cache = None
+        if cache is not None:
+            worker_cache = RecordingCache(cache.path, cache.engine_version)
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_worker_init, initargs=(cache_path, version)
+            max_workers=jobs, initializer=_worker_init, initargs=(worker_cache,)
         ) as pool:
-            chunk = max(1, len(tasks) // (jobs * 8))
-            for ok, skip, viols, records in pool.map(_scan_task, tasks, chunksize=chunk):
-                scanned += ok
-                skipped += skip
-                violations.extend(viols)
-                if cache is not None:
-                    for record in records:
-                        cache.put_record(record)
+            chunk = max(1, len(payloads) // (jobs * 8))
+            results = pool.map(_worker_task, tasks, chunksize=chunk)
+            scanned, skipped, violations = _merge(results, cache)
     return ViolationReport(
         subject=subject,
         pairs_scanned=scanned,

@@ -25,6 +25,13 @@ class StabilizationNotDetected(KroncaveError, RuntimeError):
     """
 
 
+class InvariantViolation(KroncaveError):
+    """An internal consistency check failed: an engine bug, never bad input.
+
+    Raised explicitly rather than by assert so the checks survive python -O.
+    """
+
+
 class PartitionParseError(KroncaveError, ValueError):
     """Malformed partition text. Carries the offending character position."""
 

@@ -11,7 +11,7 @@ import math
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import NotIntegral, PadTooSmall
+from .errors import InvariantViolation, NotIntegral, PadTooSmall
 
 Partition = tuple[int, ...]
 
@@ -119,12 +119,12 @@ def hook_lengths(p: Partition) -> list[int]:
 def syt_count(p: Partition) -> int:
     """Number of standard Young tableaux of this shape, by hook lengths.
 
-    The division is asserted exact; a remainder would mean a bug.
+    The division is checked exact; a remainder would mean a bug.
     """
-    total = math.factorial(sum(p))
-    denom = math.prod(hook_lengths(p))
-    assert total % denom == 0, f"hook product does not divide {sum(p)}!"
-    return total // denom
+    value, rest = divmod(math.factorial(sum(p)), math.prod(hook_lengths(p)))
+    if rest:
+        raise InvariantViolation(f"hook product does not divide {sum(p)}!")
+    return value
 
 
 class DoubleHookShape(NamedTuple):

@@ -86,6 +86,7 @@ class CoefficientCache:
     """Append-only JSONL store keyed by (kind, lam, mu, nu).
 
     Reads tolerate corrupt or partially written lines (skipped with a
+    warning), treat keys whose records disagree as misses (also with a
     warning) and ignore records from other engine versions. Appends take an
     advisory lock when the platform provides one.
     """
@@ -94,6 +95,7 @@ class CoefficientCache:
         self.path = path
         self.engine_version = engine_version
         self._index: dict | None = None
+        self._conflicts: set = set()
 
     # -- loading -----------------------------------------------------------
 
@@ -108,12 +110,23 @@ class CoefficientCache:
                     if not line:
                         continue
                     record = self._parse_line(line, lineno)
-                    if record is not None:
-                        index[record[0]] = record[1]
+                    if record is None:
+                        continue
+                    key, value = record
+                    first = index.setdefault(key, value)
+                    if first != value and key not in self._conflicts:
+                        log.warning(
+                            "%s:%d: conflicting cache records for %s (%s vs %s); "
+                            "treating it as a miss",
+                            self.path, lineno, key, first, value,
+                        )
+                        self._conflicts.add(key)
         except FileNotFoundError:
             pass
         except OSError as exc:
             raise StoreIOError(f"cannot read cache {self.path}: {exc}") from exc
+        for key in self._conflicts:
+            del index[key]
         self._index = index
         return index
 
@@ -126,7 +139,9 @@ class CoefficientCache:
             lam = parse_partition_text(obj["lambda"])
             mu = parse_partition_text(obj["mu"])
             nu = parse_partition_text(obj["nu"])
-            value = int(obj["value"])
+            text = obj["value"]
+            if not (isinstance(text, str) and text.isascii() and text.isdigit()):
+                raise ValueError(f"value {text!r} is not a non-negative decimal string")
             version = obj["engineVersion"]
         except (KeyError, ValueError, TypeError) as exc:
             log.warning("%s:%d: skipping corrupt cache line (%s)", self.path, lineno, exc)
@@ -134,7 +149,7 @@ class CoefficientCache:
         if version != self.engine_version:
             return None  # stale engine entries are silently ignored
         a, b, c = _canonical_args(lam, mu, nu)
-        return (kind, a, b, c), value
+        return (kind, a, b, c), int(text)
 
     # -- queries -----------------------------------------------------------
 
@@ -143,24 +158,34 @@ class CoefficientCache:
         return self._load().get((kind, a, b, c))
 
     def put(self, kind: str, lam: Partition, mu: Partition, nu: Partition, value: int):
-        a, b, c = _canonical_args(lam, mu, nu)
-        key = (kind, a, b, c)
+        key = (kind, *_canonical_args(lam, mu, nu))
         index = self._load()
         if index.get(key) == value:
             return
         index[key] = value
-        self._append(
-            {
-                "kind": kind,
-                "lambda": format_partition(a),
-                "mu": format_partition(b),
-                "nu": format_partition(c),
-                "value": str(value),
-                "engineVersion": self.engine_version,
-            }
+        if key not in self._conflicts:  # one more line cannot settle a conflict
+            self._write(self._record(key, value))
+
+    def _record(self, key, value: int) -> CacheRecord:
+        kind, a, b, c = key
+        return CacheRecord(
+            kind,
+            format_partition(a),
+            format_partition(b),
+            format_partition(c),
+            value,
+            self.engine_version,
         )
 
-    def _append(self, obj: dict):
+    def _write(self, record: CacheRecord):
+        obj = {
+            "kind": record.kind,
+            "lambda": record.lam,
+            "mu": record.mu,
+            "nu": record.nu,
+            "value": str(record.value),
+            "engineVersion": record.engine_version,
+        }
         line = json.dumps(obj, separators=(",", ":")) + "\n"
         try:
             with open(self.path, "a", encoding="utf-8") as fh:
@@ -187,20 +212,9 @@ class CoefficientCache:
         )
 
     def get_record(self, kind: str, lam: str, mu: str, nu: str) -> CacheRecord | None:
-        a, b, c = _canonical_args(
-            parse_partition_text(lam), parse_partition_text(mu), parse_partition_text(nu)
-        )
-        value = self._load().get((kind, a, b, c))
-        if value is None:
-            return None
-        return CacheRecord(
-            kind,
-            format_partition(a),
-            format_partition(b),
-            format_partition(c),
-            value,
-            self.engine_version,
-        )
+        key = (kind, *_canonical_args(*map(parse_partition_text, (lam, mu, nu))))
+        value = self._load().get(key)
+        return None if value is None else self._record(key, value)
 
     def __len__(self):
         return len(self._load())
@@ -217,23 +231,8 @@ class RecordingCache(CoefficientCache):
         super().__init__(path, engine_version)
         self.buffer: list[CacheRecord] = []
 
-    def put(self, kind, lam, mu, nu, value):
-        a, b, c = _canonical_args(lam, mu, nu)
-        key = (kind, a, b, c)
-        index = self._load()
-        if key in index:
-            return
-        index[key] = value
-        self.buffer.append(
-            CacheRecord(
-                kind,
-                format_partition(a),
-                format_partition(b),
-                format_partition(c),
-                value,
-                self.engine_version,
-            )
-        )
+    def _write(self, record: CacheRecord):
+        self.buffer.append(record)
 
     def drain(self) -> list[CacheRecord]:
         out, self.buffer = self.buffer, []

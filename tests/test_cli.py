@@ -4,7 +4,9 @@ import os
 import pytest
 
 from kroncave.cli import run_command
-from kroncave.store import CoefficientCache
+from kroncave.coefficients import clear_caches
+from kroncave.errors import InvariantViolation
+from kroncave.store import ENGINE_VERSION, CoefficientCache
 
 
 @pytest.fixture(autouse=True)
@@ -57,6 +59,21 @@ class TestCoefficientCommands:
         assert code == 0 and out.strip() == "1"
         code, out, _ = run(capsys, *args)  # served from the cache
         assert code == 0 and out.strip() == "1"
+
+    @pytest.mark.parametrize(
+        "kind, lam, mu, nu, value",
+        [("kron", "2,2", "2,2", "2,2", 1), ("lr", "2,1", "1", "2,2", 1)],
+    )
+    def test_cache_all_appends_once(self, capsys, tmp_path, kind, lam, mu, nu, value):
+        path = tmp_path / "cache.jsonl"
+        args = (kind, "--lambda", lam, "--mu", mu, "--nu", nu,
+                "--cache", str(path), "--cache-all")
+        for _ in range(2):  # the second run is served from the cache
+            code, out, _ = run(capsys, *args)
+            assert code == 0 and out.strip() == str(value)
+        assert len(path.read_text().splitlines()) == 1
+        key = tuple(tuple(map(int, p.split(","))) for p in (lam, mu, nu))
+        assert CoefficientCache(str(path)).get(kind, *key) == value
 
     def test_tensor_json(self, capsys):
         code, out, _ = run(capsys, "tensor", "--lambda", "1,1", "--mu", "1,1")
@@ -116,6 +133,25 @@ class TestCheckAndScan:
         )
         assert code == 1
         assert json.loads(out)["violations"]
+
+    @pytest.mark.parametrize(
+        "conjecture, lam, mu, code",
+        [
+            ("midpoint-reduced", "3,1", "1,1", 0),
+            ("midpoint-kronecker", "4,4", "2,2,2,2", 1),
+            ("sort", "2,1", "1,1", 0),
+            ("sort", "1,1", "2", 1),
+            ("schur-lr", "3,1", "1,1", 0),
+        ],
+    )
+    def test_check_pair(self, capsys, tmp_path, conjecture, lam, mu, code):
+        got, out, _ = run(
+            capsys, "check", conjecture, "--lambda", lam, "--mu", mu,
+            "--cache", str(tmp_path / "c.jsonl"),
+        )
+        report = json.loads(out)
+        assert got == code and bool(report["violations"]) == bool(code)
+        assert report["subject"] == f"{conjecture} lambda={lam} mu={mu}"
 
     def test_check_dim_log_concavity(self, capsys):
         code, out, _ = run(
@@ -177,6 +213,35 @@ class TestCheckAndScan:
         assert "scale 2 gives 80" in out
 
 
+def redkron_line(value):
+    return json.dumps(
+        {"kind": "redkron", "lambda": "1", "mu": "1", "nu": "1",
+         "value": value, "engineVersion": ENGINE_VERSION}
+    )
+
+
+class TestUntrustedCache:
+    """Corrupt, negative and conflicting records never decide an answer."""
+
+    @pytest.mark.parametrize("values", [["-4"], ["1_0"], ["7", "1"], ["1", "5"]])
+    def test_redkron_prints_true_value(self, capsys, tmp_path, values):
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join(redkron_line(v) + "\n" for v in values))
+        clear_caches()
+        code, out, _ = run(
+            capsys, "redkron", "--lambda", "1", "--mu", "1", "--nu", "1", "--cache", str(path)
+        )
+        assert code == 0 and out.strip() == "1"
+
+    def test_redtensor_ignores_negative_value(self, capsys, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(redkron_line("-4") + "\n")
+        clear_caches()
+        code, out, _ = run(capsys, "redtensor", "--lambda", "1", "--mu", "1", "--cache", str(path))
+        assert code == 0
+        assert json.loads(out) == {"-": 1, "1": 1, "1,1": 1, "2": 1}
+
+
 class TestErrorHandling:
     def test_bad_partition_text_exits_two(self, capsys):
         code, _, err = run(capsys, "kron", "--lambda", "1,2", "--mu", "2,1", "--nu", "2,1")
@@ -201,3 +266,11 @@ class TestErrorHandling:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    def test_invariant_violation_exits_three(self, capsys, monkeypatch):
+        def broken(*args):
+            raise InvariantViolation("non-integral character sum")
+
+        monkeypatch.setattr("kroncave.cli.kronecker", broken)
+        code, _, err = run(capsys, "kron", "--lambda", "1", "--mu", "1", "--nu", "1")
+        assert code == 3 and "non-integral character sum" in err

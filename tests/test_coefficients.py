@@ -1,7 +1,11 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
+import kroncave
 from kroncave.characters import dimension
 from kroncave.coefficients import (
     VirtualRep,
@@ -85,7 +89,22 @@ class TestTensorDecompose:
 
     def test_rejects_wrong_size_keys(self):
         with pytest.raises(SizeMismatch):
-            VirtualRep(3, {(2, 2): 1})
+            VirtualRep({(2, 2): 1}, n=3)
+
+    def test_fixed_n_and_stable_reps_do_not_mix(self):
+        fixed = tensor_decompose((1, 1), (1, 1))
+        stable = VirtualStableRep.single((2,))
+        with pytest.raises(SizeMismatch):
+            fixed + stable
+        with pytest.raises(SizeMismatch):
+            stable - fixed
+
+    def test_fixed_n_reps_do_not_multiply(self):
+        fixed = tensor_decompose((1, 1), (1, 1))
+        with pytest.raises(TypeError):
+            fixed * fixed
+        with pytest.raises(TypeError):
+            VirtualStableRep.single((1,)) * fixed
 
 
 class TestLittlewoodRichardson:
@@ -232,6 +251,10 @@ class TestStableRing:
         product = stable_ring_multiply(a, a)
         assert dict(product.items()) == {(): 1, (1,): 1, (1, 1): 1, (2,): 1}
 
+    def test_star_is_the_stable_product(self):
+        a = VirtualStableRep.single((1,))
+        assert a * a == stable_ring_multiply(a, a)
+
     def test_associativity_instance(self):
         a = VirtualStableRep.single((1,))
         left = stable_ring_multiply(stable_ring_multiply(a, a), a)
@@ -258,3 +281,25 @@ class TestStableRing:
         assert result.verdict == "incomparable"
         assert set(result.negative) == {(1, 1)}
         assert set(result.positive) == {(2,)}
+
+
+class TestInvariantChecks:
+    def test_class_sum_check_survives_optimize_flag(self):
+        """A non-integral character sum raises even when asserts are compiled out."""
+        code = (
+            "from kroncave.coefficients import _class_sum\n"
+            "from kroncave.errors import InvariantViolation\n"
+            "if __debug__:\n"
+            "    raise SystemExit('not running under -O')\n"
+            "try:\n"
+            "    _class_sum([((1, 1), 1)], (2,), 2)\n"
+            "except InvariantViolation as exc:\n"
+            "    print('InvariantViolation:', exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kroncave.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("InvariantViolation: non-integral character sum")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kroncave.coefficients import kronecker, reduced_kronecker
+from kroncave.coefficients import clear_caches, kronecker, reduced_kronecker
 from kroncave.conjectures import (
     EXPECTED_SQUARE_DIFFERENCE_S8,
     Violation,
@@ -25,7 +25,7 @@ from kroncave.partitions import (
     partitions_of,
     syt_count,
 )
-from kroncave.store import parse_partition_text
+from kroncave.store import CoefficientCache, parse_partition_text
 
 
 def box_move_count(source, target):
@@ -252,6 +252,15 @@ class TestScan:
         parallel = scan("sort", 5, jobs=2)
         assert sequential.canonical_json() == parallel.canonical_json()
         assert not sequential.passed
+
+    def test_cache_lines_match_across_job_counts(self, tmp_path):
+        lines = []
+        for jobs in (1, 2):
+            clear_caches()
+            path = tmp_path / f"jobs{jobs}.jsonl"
+            scan("midpoint_reduced", 6, jobs=jobs, cache=CoefficientCache(str(path)))
+            lines.append(sorted(path.read_text(encoding="utf-8").splitlines()))
+        assert lines[0] and lines[0] == lines[1]
 
     def test_report_json_shape(self):
         report = scan("sort", 4)

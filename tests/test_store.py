@@ -44,6 +44,19 @@ class TestPartitionText:
         assert parse_partition_text(format_partition(p)) == p
 
 
+def redkron_line(value, lam="2", mu="1", nu="1"):
+    return json.dumps(
+        {
+            "kind": "redkron",
+            "lambda": lam,
+            "mu": mu,
+            "nu": nu,
+            "value": value,
+            "engineVersion": ENGINE_VERSION,
+        }
+    )
+
+
 class TestCoefficientCache:
     def test_roundtrip(self, tmp_path):
         cache = CoefficientCache(str(tmp_path / "c.jsonl"))
@@ -73,21 +86,32 @@ class TestCoefficientCache:
 
     def test_corrupt_lines_skipped_with_warning(self, tmp_path, caplog):
         path = tmp_path / "c.jsonl"
-        good = json.dumps(
-            {
-                "kind": "redkron",
-                "lambda": "2",
-                "mu": "1",
-                "nu": "1",
-                "value": "3",
-                "engineVersion": ENGINE_VERSION,
-            }
-        )
-        path.write_text('not json\n{"kind": "bad"}\n' + good + '\n{"trunc', encoding="utf-8")
+        good = redkron_line("3")
+        negative = redkron_line("-4", lam="1")
+        underscored = redkron_line("1_0", lam="1", nu="2")
+        lines = ["not json", '{"kind": "bad"}', good, negative, underscored, '{"trunc']
+        path.write_text("\n".join(lines), encoding="utf-8")
         with caplog.at_level(logging.WARNING):
             cache = CoefficientCache(str(path))
             assert cache.get("redkron", (2,), (1,), (1,)) == 3
-        assert sum("skipping corrupt cache line" in r.message for r in caplog.records) == 3
+            assert cache.get("redkron", (1,), (1,), (1,)) is None
+            assert cache.get("redkron", (1,), (1,), (2,)) is None
+        assert sum("skipping corrupt cache line" in r.message for r in caplog.records) == 5
+
+    def test_conflicting_records_are_a_miss(self, tmp_path, caplog):
+        path = tmp_path / "c.jsonl"
+        lines = [redkron_line("1"), redkron_line("5"), redkron_line("1")]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cache = CoefficientCache(str(path))
+        with caplog.at_level(logging.WARNING):
+            assert cache.get("redkron", (2,), (1,), (1,)) is None
+        assert [r.message.split(": ")[0] for r in caplog.records] == [f"{path}:2"]
+        assert "conflicting cache records" in caplog.records[0].message
+        # a computed value is served in process, but not appended to a file
+        # whose records for the key already disagree
+        cache.put("redkron", (2,), (1,), (1,), 1)
+        assert cache.get("redkron", (2,), (1,), (1,)) == 1
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 3
 
     def test_values_survive_as_exact_integers(self, tmp_path):
         path = str(tmp_path / "c.jsonl")
