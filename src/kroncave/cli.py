@@ -38,11 +38,6 @@ def _partition_flag(parser, flag, dest, required=True, help_text="partition text
     parser.add_argument(flag, dest=dest, type=parse_partition_text, required=required, help=help_text)
 
 
-def _stabilization_flags(parser):
-    parser.add_argument("--window", type=int, default=None, help="plateau length to accept")
-    parser.add_argument("--cap", type=int, default=None, help="hard stabilization cap")
-
-
 def _cache_for(args, enabled=True):
     if not enabled:
         return None
@@ -82,11 +77,7 @@ def _cmd_coefficient(args) -> int:
 
 
 def _cmd_redkron(args) -> int:
-    cache = _cache_for(args)
-    value = reduced_kronecker(
-        args.lam, args.mu, args.nu, window=args.window, cap=args.cap, cache=cache
-    )
-    print(value)
+    print(reduced_kronecker(args.lam, args.mu, args.nu, cache=_cache_for(args)))
     return 0
 
 
@@ -97,10 +88,7 @@ def _cmd_tensor(args) -> int:
 
 
 def _cmd_redtensor(args) -> int:
-    cache = _cache_for(args)
-    rep = reduced_tensor_decompose(
-        args.lam, args.mu, window=args.window, cap=args.cap, cache=cache
-    )
+    rep = reduced_tensor_decompose(args.lam, args.mu, cache=_cache_for(args))
     _emit(_decomposition_json(rep.items()), args.out)
     return 0
 
@@ -129,13 +117,7 @@ def _cmd_closed_form(args) -> int:
 
 def _cmd_check(args) -> int:
     payload = args.part if args.conjecture == "chain" else (args.lam, args.mu)
-    report = run_check(
-        args.conjecture.replace("-", "_"),
-        payload,
-        window=args.window,
-        cap=args.cap,
-        cache=_cache_for(args),
-    )
+    report = run_check(args.conjecture.replace("-", "_"), payload, cache=_cache_for(args))
     return _report_exit(report, args.out)
 
 
@@ -150,29 +132,15 @@ def _cmd_dim_log_concavity(args) -> int:
 
 def _cmd_saturation(args) -> int:
     values = check_saturation(
-        args.lam,
-        args.mu,
-        args.nu,
-        args.k_max,
-        args.mode,
-        window=args.window,
-        cap=args.cap,
-        cache=_cache_for(args),
+        args.lam, args.mu, args.nu, args.k_max, args.mode, cache=_cache_for(args)
     )
     _emit(json.dumps([[k, nonzero] for k, nonzero in values], indent=2), args.out)
     return 0
 
 
 def _cmd_scan(args) -> int:
-    cache = _cache_for(args)
     report = scan(
-        args.conjecture,
-        args.max_boxes,
-        jobs=args.jobs,
-        chain_n=args.n,
-        window=args.window,
-        cap=args.cap,
-        cache=cache,
+        args.conjecture, args.max_boxes, jobs=args.jobs, chain_n=args.n, cache=_cache_for(args)
     )
     return _report_exit(report, args.out)
 
@@ -225,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("redkron", help="reduced (stable) Kronecker coefficient")
     triple(p)
-    _stabilization_flags(p)
     p.add_argument("--cache", default=None)
     p.set_defaults(handler=_cmd_redkron)
 
@@ -238,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("redtensor", help="stable product of two classes")
     _partition_flag(p, "--lambda", "lam")
     _partition_flag(p, "--mu", "mu")
-    _stabilization_flags(p)
     p.add_argument("--cache", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_redtensor)
@@ -276,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         c = checks.add_parser(name)
         _partition_flag(c, "--lambda", "lam")
         _partition_flag(c, "--mu", "mu")
-        _stabilization_flags(c)
         c.add_argument("--cache", default=None)
         c.add_argument("--out", default=None)
         c.set_defaults(handler=_cmd_check)
@@ -288,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="repeatable partition text",
     )
-    _stabilization_flags(c)
     c.add_argument("--cache", default=None)
     c.add_argument("--out", default=None)
     c.set_defaults(handler=_cmd_check)
@@ -304,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     _partition_flag(c, "--nu", "nu")
     c.add_argument("--k-max", dest="k_max", type=int, required=True)
     c.add_argument("--mode", choices=("kronecker", "reduced"), default="reduced")
-    _stabilization_flags(c)
     c.add_argument("--cache", default=None)
     c.add_argument("--out", default=None)
     c.set_defaults(handler=_cmd_saturation)
@@ -314,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-boxes", dest="max_boxes", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--n", type=int, default=3, help="tuple length for chain scans")
-    _stabilization_flags(p)
     p.add_argument("--cache", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_scan)
@@ -347,3 +309,7 @@ def run_command(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

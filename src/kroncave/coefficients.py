@@ -8,9 +8,10 @@ pruning. Reduced Kronecker coefficients are the stable values of padded
 Kronecker sequences, detected by a plateau protocol:
 
   start at d0 = max(|lam|+lam1, |mu|+mu1, |nu|+nu1, |lam|+|mu|+|nu|), step d
-  upward, and accept as soon as `window` consecutive values agree (default 2).
+  upward, and accept as soon as DEFAULT_WINDOW = 2 consecutive values agree.
   Beyond the hard cap d0 + 2*(|lam|+|mu|+|nu|) + 2 the computation refuses to
-  answer (StabilizationNotDetected) rather than guess.
+  answer (StabilizationNotDetected) rather than guess. The protocol has no
+  settings, so a stored value never depends on how it was computed.
 
 Padded sequences are weakly increasing, which the engine also checks on every
 trace; a decrease is an implementation bug (InvariantViolation), never data.
@@ -38,9 +39,9 @@ DEFAULT_WINDOW = 2
 # (lam, mu) -> [(cycle parts, class_size * chi_lam * chi_mu), ...] nonzero only.
 # Values are table-independent exact integers, so one shared store is safe.
 _PAIR_WEIGHTS: dict = {}
-# (pair key, nu, window, cap) -> stable value
+# (pair key, nu) -> stable value
 _REDUCED_MEMO: dict = {}
-# (pair key, window, cap) -> stable VirtualRep coefficient dict
+# pair key -> stable VirtualRep coefficient dict
 _STABLE_PRODUCTS: dict = {}
 
 
@@ -266,31 +267,18 @@ def kronecker_sequence(
     return [kronecker(pad(lam, d), pad(mu, d), pad(nu, d)) for d in d_values]
 
 
-def reduced_kronecker(
-    lam: Partition,
-    mu: Partition,
-    nu: Partition,
-    *,
-    window: int | None = None,
-    cap: int | None = None,
-    cache=None,
-) -> int:
+def reduced_kronecker(lam: Partition, mu: Partition, nu: Partition, *, cache=None) -> int:
     """Stable value of the padded Kronecker sequence for this triple.
 
     Returns 0 immediately when the size triangle inequalities fail. Otherwise
     runs the plateau protocol documented in the module docstring. A persistent
-    cache object (see kroncave.store) may be supplied; only protocol-default
-    runs are memoized in process.
+    cache object (see kroncave.store) may be supplied.
     """
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
     if not murnaghan_inequalities(lam, mu, nu):
         return 0
-    window = DEFAULT_WINDOW if window is None else window
-    if window < 2:
-        raise ValueError("window must be at least 2")
     pair = (lam, mu) if lam <= mu else (mu, lam)
-    hard_cap = stabilization_cap(lam, mu, nu) if cap is None else cap
-    key = (pair, nu, window, hard_cap)
+    key = (pair, nu)
     hit = _REDUCED_MEMO.get(key)
     if hit is not None:
         if cache is not None:
@@ -302,32 +290,26 @@ def reduced_kronecker(
             _REDUCED_MEMO[key] = stored
             return stored
     d0 = stabilization_start(lam, mu, nu)
+    cap = stabilization_cap(lam, mu, nu)
     streak = 0
     prev = None
-    for d in range(d0, hard_cap + 1):
+    for d in range(d0, cap + 1):
         value = kronecker(pad(lam, d), pad(mu, d), pad(nu, d))
         if prev is not None and value < prev:
             raise InvariantViolation(f"padded sequence decreased for {lam},{mu},{nu}")
         streak = streak + 1 if value == prev else 1
         prev = value
-        if streak >= window:
+        if streak >= DEFAULT_WINDOW:
             _REDUCED_MEMO[key] = value
             if cache is not None:
                 cache.put("redkron", pair[0], pair[1], nu, value)
             return value
     raise StabilizationNotDetected(
-        f"no plateau of length {window} for {lam},{mu},{nu} up to d={hard_cap}"
+        f"no plateau of length {DEFAULT_WINDOW} for {lam},{mu},{nu} up to d={cap}"
     )
 
 
-def reduced_tensor_decompose(
-    lam: Partition,
-    mu: Partition,
-    *,
-    window: int | None = None,
-    cap: int | None = None,
-    cache=None,
-) -> VirtualRep:
+def reduced_tensor_decompose(lam: Partition, mu: Partition, *, cache=None) -> VirtualRep:
     """Stable product of two single classes, expanded over all partitions.
 
     Support is finite: coefficients vanish outside sizes |nu| <= |lam|+|mu|
@@ -336,9 +318,7 @@ def reduced_tensor_decompose(
     """
     lam, mu = tuple(lam), tuple(mu)
     pair = (lam, mu) if lam <= mu else (mu, lam)
-    window_r = DEFAULT_WINDOW if window is None else window
-    key = (pair, window_r, cap)
-    hit = _STABLE_PRODUCTS.get(key)
+    hit = _STABLE_PRODUCTS.get(pair)
     if hit is not None:
         return VirtualRep(hit)
     coeffs = {}
@@ -346,26 +326,19 @@ def reduced_tensor_decompose(
         for nu in sorted(partitions_of(size)):
             if not murnaghan_inequalities(lam, mu, nu):
                 continue
-            value = reduced_kronecker(lam, mu, nu, window=window, cap=cap, cache=cache)
+            value = reduced_kronecker(lam, mu, nu, cache=cache)
             if value:
                 coeffs[nu] = value
-    _STABLE_PRODUCTS[key] = coeffs
+    _STABLE_PRODUCTS[pair] = coeffs
     return VirtualRep(coeffs)
 
 
-def stable_ring_multiply(
-    a: VirtualRep,
-    b: VirtualRep,
-    *,
-    window: int | None = None,
-    cap: int | None = None,
-    cache=None,
-) -> VirtualRep:
+def stable_ring_multiply(a: VirtualRep, b: VirtualRep, *, cache=None) -> VirtualRep:
     """Bilinear extension of the single-class stable product."""
     out: dict[Partition, int] = {}
     for p, cp in a.items():
         for q, cq in b.items():
-            block = reduced_tensor_decompose(p, q, window=window, cap=cap, cache=cache)
+            block = reduced_tensor_decompose(p, q, cache=cache)
             factor = cp * cq
             for nu, g in block.coeffs.items():
                 out[nu] = out.get(nu, 0) + factor * g

@@ -100,10 +100,10 @@ def _compare_violations(lam_text, mu_text, bigger: VirtualRep, smaller: VirtualR
     ]
 
 
-def _dominance_report(subject, start, lam, mu, big_pair, **kw) -> ViolationReport:
+def _dominance_report(subject, start, lam, mu, big_pair, cache) -> ViolationReport:
     """Does the stable product of big_pair dominate that of (lam, mu)?"""
-    bigger = reduced_tensor_decompose(*big_pair, **kw)
-    smaller = reduced_tensor_decompose(lam, mu, **kw)
+    bigger = reduced_tensor_decompose(*big_pair, cache=cache)
+    smaller = reduced_tensor_decompose(lam, mu, cache=cache)
     lam_text, mu_text = format_partition(lam), format_partition(mu)
     return ViolationReport(
         subject=f"{subject} lambda={lam_text} mu={mu_text}",
@@ -113,15 +113,11 @@ def _dominance_report(subject, start, lam, mu, big_pair, **kw) -> ViolationRepor
     )
 
 
-def check_midpoint_reduced(
-    lam: Partition, mu: Partition, *, window=None, cap=None, cache=None
-) -> ViolationReport:
+def check_midpoint_reduced(lam: Partition, mu: Partition, *, cache=None) -> ViolationReport:
     """Does the squared midpoint class dominate the stable product of the pair?"""
     start = time.monotonic()
     mid = midpoint(lam, mu, "exact")  # NotIntegral propagates to the caller
-    return _dominance_report(
-        "midpoint-reduced", start, lam, mu, (mid, mid), window=window, cap=cap, cache=cache
-    )
+    return _dominance_report("midpoint-reduced", start, lam, mu, (mid, mid), cache)
 
 
 def check_midpoint_kronecker(lam: Partition, mu: Partition) -> ViolationReport:
@@ -147,9 +143,7 @@ def check_midpoint_kronecker(lam: Partition, mu: Partition) -> ViolationReport:
     )
 
 
-def check_sort_conjecture(
-    lam: Partition, mu: Partition, *, window=None, cap=None, cache=None
-) -> ViolationReport:
+def check_sort_conjecture(lam: Partition, mu: Partition, *, cache=None) -> ViolationReport:
     """Does the sorted-split pair dominate the original pair in the stable ring?
 
     Stable analog of the sorted-split inequality; expected to fail on known
@@ -157,14 +151,10 @@ def check_sort_conjecture(
     vanishes at target (1) by the size triangle inequality.
     """
     start = time.monotonic()
-    return _dominance_report(
-        "sort", start, lam, mu, sort_split(lam, mu), window=window, cap=cap, cache=cache
-    )
+    return _dominance_report("sort", start, lam, mu, sort_split(lam, mu), cache)
 
 
-def check_chain_conjecture(
-    parts: Sequence[Partition], *, window=None, cap=None, cache=None
-) -> ViolationReport:
+def check_chain_conjecture(parts: Sequence[Partition], *, cache=None) -> ViolationReport:
     """n-fold version: interleaved splits of the merged parts vs the inputs.
 
     Stable analog of the interleave inequality; expected to fail on known
@@ -183,12 +173,11 @@ def check_chain_conjecture(
     for p in parts:
         merged = union_parts(merged, p)
     splits = interleave_split(merged, n)
-    kw = dict(window=window, cap=cap, cache=cache)
 
     def left_product(classes):
         acc = VirtualRep.single(classes[0])
         for p in classes[1:]:
-            acc = stable_ring_multiply(acc, VirtualRep.single(p), **kw)
+            acc = stable_ring_multiply(acc, VirtualRep.single(p), cache=cache)
         return acc
 
     bigger = left_product(splits)
@@ -210,8 +199,6 @@ def check_saturation(
     k_max: int,
     mode: str = "reduced",
     *,
-    window=None,
-    cap=None,
     cache=None,
 ) -> list[tuple[int, bool]]:
     """Nonvanishing of the coefficient along the scaled triples k=1..k_max."""
@@ -225,7 +212,7 @@ def check_saturation(
         if mode == "kronecker":
             value = kronecker(*scaled)
         else:
-            value = reduced_kronecker(*scaled, window=window, cap=cap, cache=cache)
+            value = reduced_kronecker(*scaled, cache=cache)
         out.append((k, value != 0))
     return out
 
@@ -266,9 +253,7 @@ def check_schur_log_concavity(lam: Partition, mu: Partition) -> ViolationReport:
     )
 
 
-def check_murnaghan_littlewood(
-    budget: int, *, window=None, cap=None, cache=None
-) -> ViolationReport:
+def check_murnaghan_littlewood(budget: int, *, cache=None) -> ViolationReport:
     """Reduced coefficients must equal LR coefficients at size-additive targets.
 
     Exhausts all triples with |nu| = |lam| + |mu| <= budget. This is an
@@ -278,10 +263,9 @@ def check_murnaghan_littlewood(
     start = time.monotonic()
     scanned = 0
     violations = []
-    kw = dict(window=window, cap=cap, cache=cache)
     for lam, mu in _pairs_with_total(budget):
         total = sum(lam) + sum(mu)
-        block = reduced_tensor_decompose(lam, mu, **kw)
+        block = reduced_tensor_decompose(lam, mu, cache=cache)
         for nu in sorted(partitions_of(total)):
             reduced = block[nu]
             lr = lr_coefficient(lam, mu, nu)
@@ -347,20 +331,19 @@ def _worker_init(cache) -> None:
     _WORKER_CACHE = cache
 
 
-def run_check(name: str, payload, *, window=None, cap=None, cache=None) -> ViolationReport:
+def run_check(name: str, payload, *, cache=None) -> ViolationReport:
     """Run the per-pair check of one of SCAN_CONJECTURES on one payload.
 
     The payload is a (lam, mu) pair, or the list of parts for "chain".
     """
-    kw = dict(window=window, cap=cap, cache=cache)
     if name == "midpoint_reduced":
-        return check_midpoint_reduced(*payload, **kw)
+        return check_midpoint_reduced(*payload, cache=cache)
     if name == "midpoint_kronecker":
         return check_midpoint_kronecker(*payload)
     if name == "sort":
-        return check_sort_conjecture(*payload, **kw)
+        return check_sort_conjecture(*payload, cache=cache)
     if name == "chain":
-        return check_chain_conjecture(payload, **kw)
+        return check_chain_conjecture(payload, cache=cache)
     if name == "schur_lr":
         return check_schur_log_concavity(*payload)
     raise ValueError(f"unknown conjecture {name!r}")
@@ -368,9 +351,9 @@ def run_check(name: str, payload, *, window=None, cap=None, cache=None) -> Viola
 
 def _scan_task(task, cache):
     """(violations, or None when skipped; cache records buffered for the parent)."""
-    name, payload, window, cap = task
+    name, payload = task
     try:
-        violations = run_check(name, payload, window=window, cap=cap, cache=cache).violations
+        violations = run_check(name, payload, cache=cache).violations
     except (NotIntegral, SizeMismatch):
         violations = None
     records = cache.drain() if isinstance(cache, RecordingCache) else ()
@@ -403,8 +386,6 @@ def scan(
     jobs: int = 1,
     *,
     chain_n: int = 3,
-    window=None,
-    cap=None,
     cache=None,
 ) -> ViolationReport:
     """Run one per-pair check over every admissible tuple within the box budget.
@@ -425,7 +406,7 @@ def scan(
     else:
         payloads = list(_pairs_with_total(max_boxes, equal_sizes=name == "midpoint_kronecker"))
         subject = f"scan:{name}:max_boxes={max_boxes}"
-    tasks = ((name, payload, window, cap) for payload in payloads)
+    tasks = ((name, payload) for payload in payloads)
     if jobs <= 1:
         results = map(partial(_scan_task, cache=cache), tasks)
         scanned, skipped, violations = _merge(results, cache)

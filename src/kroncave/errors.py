@@ -20,8 +20,8 @@ class SizeMismatch(KroncaveError, ValueError):
 class StabilizationNotDetected(KroncaveError, RuntimeError):
     """A padded coefficient sequence did not plateau before the hard cap.
 
-    Signals that the window/cap protocol constants need raising; the value is
-    never silently guessed.
+    The protocol (window 2, cap stabilization_cap) is fixed, so this signals
+    a triple the protocol cannot settle; the value is never silently guessed.
     """
 
 

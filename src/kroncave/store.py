@@ -45,11 +45,11 @@ def parse_partition_text(s: str) -> Partition:
     parts = []
     pos = 0
     for token in s.split(","):
-        if not token.isdigit():
+        if not (token.isascii() and token.isdigit()):
             raise PartitionParseError(f"malformed token {token!r}", pos)
+        if token[0] == "0":
+            raise PartitionParseError(f"zero part or leading zero in {token!r}", pos)
         value = int(token)
-        if value <= 0:
-            raise PartitionParseError(f"nonpositive part {value}", pos)
         if parts and parts[-1] < value:
             raise PartitionParseError(
                 f"parts not weakly decreasing: {parts[-1]} < {value}", pos

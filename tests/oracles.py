@@ -4,6 +4,7 @@ Each function here recomputes a quantity by direct enumeration so the library
 implementations have something slower but simpler to be checked against.
 """
 
+from functools import lru_cache
 from itertools import permutations
 
 from sympy.utilities.iterables import multiset_permutations
@@ -143,3 +144,69 @@ def gamma_count_bruteforce(a, b, c, d, x, y):
         for (u, v) in pts
         if u >= 0 and v >= 0 and a <= u <= a + b and c <= v <= c + d
     )
+
+
+def _inside(outer, n):
+    """Partitions of n whose diagrams fit inside outer."""
+    from kroncave.partitions import partitions_of
+
+    return [
+        p for p in partitions_of(n)
+        if len(p) <= len(outer) and all(x <= y for x, y in zip(p, outer))
+    ]
+
+
+@lru_cache(maxsize=None)
+def _triple_lr(outer, i, j):
+    """{(x, y, z): c^outer_{x,y,z}} over |x| = i, |y| = j, |z| = |outer| - i - j.
+
+    c^outer_{x,y,z} = sum over kappa of c^kappa_{x,y} c^outer_{kappa,z}.
+    """
+    from kroncave.coefficients import lr_coefficient
+
+    out = {}
+    for kappa in _inside(outer, i + j):
+        for z in _inside(outer, sum(outer) - i - j):
+            c_outer = lr_coefficient(kappa, z, outer)
+            if not c_outer:
+                continue
+            for x in _inside(kappa, i):
+                for y in _inside(kappa, j):
+                    c = lr_coefficient(x, y, kappa)
+                    if c:
+                        out[x, y, z] = out.get((x, y, z), 0) + c * c_outer
+    return out
+
+
+def littlewood_reduced_kronecker(lam, mu, nu):
+    """Reduced Kronecker coefficient by Littlewood's formula, with no padding.
+
+    g-bar^nu_{lam,mu} = sum g_{delta,eps,zeta} c^lam_{delta,alpha,beta}
+    c^mu_{eps,alpha,gamma} c^nu_{zeta,beta,gamma}, where delta, eps and zeta
+    are partitions of one size s. The sizes are forced:
+    s + 2|alpha| = |lam| + |mu| - |nu|, |beta| = |lam| - s - |alpha| and
+    |gamma| = |mu| - s - |alpha|. Only the library's Kronecker coefficients
+    at size s and its LR coefficients are used (Littlewood 1958, as restated
+    by Briand, Orellana and Rosas, J. Algebra 2011).
+    """
+    from kroncave.coefficients import kronecker
+
+    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
+    total = 0
+    excess = sum(lam) + sum(mu) - sum(nu)
+    for a in range(excess // 2 + 1):
+        s = excess - 2 * a
+        b, c = sum(lam) - s - a, sum(mu) - s - a
+        if b < 0 or c < 0:
+            continue
+        by_alpha = {}
+        for (eps, alpha, gamma), v in _triple_lr(mu, s, a).items():
+            by_alpha.setdefault(alpha, []).append((eps, gamma, v))
+        by_beta_gamma = {}
+        for (zeta, beta, gamma), v in _triple_lr(nu, s, b).items():
+            by_beta_gamma.setdefault((beta, gamma), []).append((zeta, v))
+        for (delta, alpha, beta), v1 in _triple_lr(lam, s, a).items():
+            for eps, gamma, v2 in by_alpha.get(alpha, ()):
+                for zeta, v3 in by_beta_gamma.get((beta, gamma), ()):
+                    total += kronecker(delta, eps, zeta) * v1 * v2 * v3
+    return total

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import kroncave
 from kroncave.cli import run_command
 from kroncave.coefficients import clear_caches
 from kroncave.errors import InvariantViolation
@@ -240,6 +243,44 @@ class TestUntrustedCache:
         code, out, _ = run(capsys, "redtensor", "--lambda", "1", "--mu", "1", "--cache", str(path))
         assert code == 0
         assert json.loads(out) == {"-": 1, "1": 1, "1,1": 1, "2": 1}
+
+
+class TestFixedProtocol:
+    """The plateau protocol has no settings, so a cache cannot change an exit code."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("redkron", "--lambda", "1", "--mu", "1", "--nu", "1"),
+            ("redtensor", "--lambda", "1", "--mu", "1"),
+            ("check", "midpoint-reduced", "--lambda", "3,1", "--mu", "1,1"),
+            ("check", "midpoint-kronecker", "--lambda", "4", "--mu", "2,2"),
+            ("check", "sort", "--lambda", "2,1", "--mu", "1,1"),
+            ("check", "schur-lr", "--lambda", "3,1", "--mu", "1,1"),
+            ("check", "chain", "--part", "1", "--part", "1"),
+            ("check", "saturation", "--lambda", "1", "--mu", "1", "--nu", "1", "--k-max", "1"),
+            ("scan", "midpoint-reduced", "--max-boxes", "2"),
+        ],
+        ids=lambda argv: " ".join(a for a in argv[:2] if not a.startswith("-")),
+    )
+    def test_cap_flag_exit_code_ignores_cache(self, capsys, tmp_path, argv):
+        cache = ("--cache", str(tmp_path / "c.jsonl"))
+        clear_caches()
+        before, _, _ = run(capsys, *argv, "--cap", "3", *cache)
+        run(capsys, *argv, *cache)  # fills the cache
+        after, _, _ = run(capsys, *argv, "--cap", "3", *cache)
+        assert before == after == 2
+
+    def test_module_entry_point(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kroncave.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kroncave.cli", "redkron",
+             "--lambda", "1", "--mu", "1", "--nu", "1",
+             "--cache", str(tmp_path / "c.jsonl")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1"
 
 
 class TestErrorHandling:

@@ -6,10 +6,12 @@ import sys
 import pytest
 
 import kroncave
+from kroncave import coefficients
 from kroncave.characters import dimension
 from kroncave.coefficients import (
     VirtualRep,
     VirtualStableRep,
+    clear_caches,
     kostka,
     kronecker,
     kronecker_sequence,
@@ -25,7 +27,12 @@ from kroncave.coefficients import (
 from kroncave.errors import PadTooSmall, SizeMismatch, StabilizationNotDetected
 from kroncave.partitions import conjugate, partitions_of, partitions_up_to
 
-from oracles import lr_count_bruteforce, lr_filling_count, ssyt_count_bruteforce
+from oracles import (
+    littlewood_reduced_kronecker,
+    lr_count_bruteforce,
+    lr_filling_count,
+    ssyt_count_bruteforce,
+)
 
 
 class TestKronecker:
@@ -199,14 +206,26 @@ class TestReducedKronecker:
     def test_murnaghan_short_circuit(self):
         assert reduced_kronecker((2, 1), (1,), (1,)) == 0
 
-    def test_stabilization_not_detected_on_tight_cap(self):
+    def test_stabilization_not_detected_on_tight_cap(self, monkeypatch):
+        clear_caches()  # a memoized value would skip the protocol
         d0 = stabilization_start((1,), (1,), (1,))
+        monkeypatch.setattr(coefficients, "stabilization_cap", lambda *triple: d0)
         with pytest.raises(StabilizationNotDetected):
-            reduced_kronecker((1,), (1,), (1,), cap=d0)
+            reduced_kronecker((1,), (1,), (1,))
 
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            reduced_kronecker((1,), (1,), (1,), window=1)
+    def test_matches_littlewood_formula(self):
+        small, targets = list(partitions_up_to(5)), list(partitions_up_to(6))
+        mismatches = [
+            (lam, mu, nu)
+            for lam in small
+            for mu in small
+            for nu in targets
+            if reduced_kronecker(lam, mu, nu) != littlewood_reduced_kronecker(lam, mu, nu)
+        ]
+        assert mismatches == []
+        # the golden triple and the `verify paper --stretch` value, without padding
+        assert littlewood_reduced_kronecker((6, 4, 2), (4, 2, 2), (8, 6, 4, 2)) == 6
+        assert littlewood_reduced_kronecker((2,) * 8, (2,) * 8, (6, 6)) == 80
 
     def test_cap_formula(self):
         assert stabilization_cap((1,), (1,), (1,)) == 3 + 2 * 3 + 2

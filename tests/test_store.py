@@ -30,7 +30,7 @@ class TestPartitionText:
         assert err.value.position == 2
 
     def test_rejects_garbage(self):
-        for bad in ("", "3,,1", "a", "3, 1", "0", "-1"):
+        for bad in ("", "3,,1", "a", "3, 1", "0", "-1", "01", "3,01", "\u0661"):
             with pytest.raises(PartitionParseError):
                 parse_partition_text(bad)
 
