@@ -1,11 +1,14 @@
 """Exact irreducible characters of symmetric groups.
 
 Values come from the Murnaghan-Nakayama border-strip recursion, evaluated on
-the beta-set (first-column hook lengths) of the shape: removing a border strip
-of length t is replacing a beta value b by b - t when b - t is free. Cycles
-are consumed largest first, which shrinks the shape fastest and maximizes memo
-reuse across queries. All arithmetic is exact Python ints; factorials past 20!
-overflow machine words, so nothing here may ever round.
+the abacus of the shape: its beta-set (first-column hook lengths) as a bitmask
+with one bead per row. Removing a border strip of length t moves the bead at b
+to b - t when that position is free; the sign is the parity of the beads
+strictly between. Zero rows are the trailing set bits, which are shifted out,
+so each mask with bit 0 clear is exactly one shape and serves as its memo key.
+Cycles are consumed largest first, which shrinks the shape fastest and
+maximizes memo reuse across queries. All arithmetic is exact Python ints;
+factorials past 20! overflow machine words, so nothing here may ever round.
 """
 
 from __future__ import annotations
@@ -54,30 +57,53 @@ def cycle_types(n: int) -> tuple[CycleType, ...]:
     return tuple(CycleType(p) for p in partitions_of(n))
 
 
-def _strip_removals(lam: Partition, t: int) -> list[tuple[int, Partition]]:
-    """(sign, smaller shape) for every removable border strip of length t."""
+@lru_cache(maxsize=None)
+def _mask(lam: Partition) -> int:
+    """Beta-set bitmask of a partition, zero rows dropped: one bead per row.
+
+    Row i of m sits at bit lam[i] + (m - 1 - i). A mask with bit 0 clear is
+    exactly one shape, so the mask stands in for the shape in memo keys.
+    """
     m = len(lam)
-    beta = [lam[i] + (m - 1 - i) for i in range(m)]  # strictly decreasing
-    beta_set = set(beta)
-    out = []
-    for b in beta:
-        nb = b - t
-        if nb < 0 or nb in beta_set:
-            continue
-        height = sum(1 for v in beta if nb < v < b)
-        new_beta = sorted((v for v in beta if v != b), reverse=True)
-        # re-insert nb keeping descending order
-        pos = len(new_beta)
-        for i, v in enumerate(new_beta):
-            if v < nb:
-                pos = i
-                break
-        new_beta.insert(pos, nb)
-        shape = tuple(
-            v - (m - 1 - i) for i, v in enumerate(new_beta) if v - (m - 1 - i) > 0
-        )
-        out.append((-1 if height % 2 else 1, shape))
-    return out
+    mask = 0
+    for i, part in enumerate(lam):
+        if part < 0 or (i and lam[i - 1] < part):
+            raise ValueError(f"not a partition: {lam}")
+        mask |= 1 << (part + m - 1 - i)
+    return mask >> ((mask ^ (mask + 1)).bit_length() - 1)
+
+
+def _chi(mask: int, cycles: Partition, memo: dict) -> int:
+    """Murnaghan-Nakayama on the abacus: strip a border strip per cycle.
+
+    A strip of length t moves the bead at b to the free position b - t; its
+    sign is the parity of the beads strictly between them. A bead landing on
+    0 turns the lowest rows into zero rows, which the shift drops.
+    """
+    if not mask:
+        return 1
+    key = (mask, cycles)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    t = cycles[0]
+    rest = cycles[1:]
+    between = (1 << (t - 1)) - 1
+    jump = (1 << t) | 1
+    total = 0
+    # bit p is set when a bead sits at p + t and p is free
+    free = (mask >> t) & ~mask
+    while free:
+        low = free & -free
+        free ^= low
+        p = low.bit_length() - 1
+        moved = mask ^ (jump << p)
+        if not p:
+            moved >>= (moved ^ (moved + 1)).bit_length() - 1
+        value = _chi(moved, rest, memo)
+        total += -value if ((mask >> (p + 1)) & between).bit_count() & 1 else value
+    memo[key] = total
+    return total
 
 
 def character_value(
@@ -86,23 +112,10 @@ def character_value(
     """Character of the irreducible labelled lam on the class with these cycles.
 
     cycles must be sorted weakly decreasing and sum to |lam|. Pass a dict to
-    memoize across calls; None evaluates the bare recursion.
+    memoize across calls (keyed by beta-set mask and cycles); None gives this
+    call a memo of its own.
     """
-    if not lam:
-        return 1
-    key = (lam, cycles)
-    if memo is not None:
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-    t = cycles[0]
-    rest = cycles[1:]
-    total = 0
-    for sign, shape in _strip_removals(lam, t):
-        total += sign * character_value(shape, rest, memo)
-    if memo is not None:
-        memo[key] = total
-    return total
+    return _chi(_mask(lam), tuple(cycles), {} if memo is None else memo)
 
 
 class CharacterTable:
@@ -116,10 +129,15 @@ class CharacterTable:
         self._memo: dict = {}
 
     def character(self, lam: Partition, rho) -> int:
-        parts = rho.parts if isinstance(rho, CycleType) else tuple(rho)
-        if sum(lam) != sum(parts):
-            raise SizeMismatch(f"|lam|={sum(lam)} but cycle type has size {sum(parts)}")
-        return character_value(lam, parts, self._memo)
+        cycles = rho.parts if type(rho) is CycleType else tuple(rho)
+        # Every memo key has |shape| == |cycles|, so a hit needs no size check.
+        try:
+            return self._memo[_mask(lam), cycles]
+        except KeyError:
+            pass
+        if sum(lam) != sum(cycles):
+            raise SizeMismatch(f"|lam|={sum(lam)} but cycle type has size {sum(cycles)}")
+        return character_value(lam, cycles, self._memo)
 
     def dimension(self, lam: Partition) -> int:
         """Character on the identity class, checked against the hook count."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
-from .characters import DEFAULT_TABLE, cycle_types
+from .characters import DEFAULT_TABLE, _mask, cycle_types
 from .errors import InvariantViolation, SizeMismatch, StabilizationNotDetected
 from .partitions import (
     EMPTY,
@@ -51,6 +51,7 @@ def clear_caches() -> None:
     _REDUCED_MEMO.clear()
     _STABLE_PRODUCTS.clear()
     DEFAULT_TABLE.clear()
+    _mask.cache_clear()
     cycle_types.cache_clear()
 
 

@@ -210,3 +210,57 @@ def littlewood_reduced_kronecker(lam, mu, nu):
                 for zeta, v3 in by_beta_gamma.get((beta, gamma), ()):
                     total += kronecker(delta, eps, zeta) * v1 * v2 * v3
     return total
+
+
+# The beta-list Murnaghan-Nakayama recursion the library used before its
+# bitmask abacus, kept as a second character engine. Memo keys are
+# (shape, cycles), one per (mask, cycles) key of the library's memo.
+
+
+def _strip_removals(lam, t):
+    """(sign, smaller shape) for every removable border strip of length t."""
+    m = len(lam)
+    beta = [lam[i] + (m - 1 - i) for i in range(m)]  # strictly decreasing
+    beta_set = set(beta)
+    out = []
+    for b in beta:
+        nb = b - t
+        if nb < 0 or nb in beta_set:
+            continue
+        height = sum(1 for v in beta if nb < v < b)
+        new_beta = sorted((v for v in beta if v != b), reverse=True)
+        # re-insert nb keeping descending order
+        pos = len(new_beta)
+        for i, v in enumerate(new_beta):
+            if v < nb:
+                pos = i
+                break
+        new_beta.insert(pos, nb)
+        shape = tuple(
+            v - (m - 1 - i) for i, v in enumerate(new_beta) if v - (m - 1 - i) > 0
+        )
+        out.append((-1 if height % 2 else 1, shape))
+    return out
+
+
+def beta_list_character(lam, cycles, memo=None):
+    """Character of the irreducible labelled lam on the class with these cycles.
+
+    cycles must be sorted weakly decreasing and sum to |lam|. Pass a dict to
+    memoize across calls; None evaluates the bare recursion.
+    """
+    if not lam:
+        return 1
+    key = (lam, cycles)
+    if memo is not None:
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+    t = cycles[0]
+    rest = cycles[1:]
+    total = 0
+    for sign, shape in _strip_removals(lam, t):
+        total += sign * beta_list_character(shape, rest, memo)
+    if memo is not None:
+        memo[key] = total
+    return total

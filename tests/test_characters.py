@@ -1,20 +1,26 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import kroncave
 from kroncave.characters import (
     CharacterTable,
     CycleType,
+    _mask,
     character,
     character_value,
     cycle_types,
     dimension,
 )
+from kroncave.coefficients import clear_caches
 from kroncave.errors import SizeMismatch
-from kroncave.partitions import conjugate, partitions_of, syt_count
+from kroncave.partitions import conjugate, partitions_of, partitions_up_to, syt_count
 
-from oracles import syt_count_bruteforce
+from oracles import beta_list_character, syt_count_bruteforce
 
 
 class TestCycleType:
@@ -98,3 +104,71 @@ class TestDimension:
     def test_matches_hook_formula(self):
         for lam in partitions_of(9):
             assert dimension(lam) == syt_count(lam)
+
+
+class TestBetaListOracle:
+    """The abacus kernel against the beta-list recursion it replaced."""
+
+    def test_every_class_up_to_12(self):
+        for n in range(13):
+            table, memo = CharacterTable(), {}
+            for lam in partitions_of(n):
+                for rho in partitions_of(n):
+                    expected = beta_list_character(lam, rho, memo)
+                    assert table.character(lam, rho) == expected, (lam, rho)
+                    assert character_value(lam, rho, memo=None) == expected, (lam, rho)
+            # one memo entry per reachable (shape, cycles) in both engines
+            assert len(table) == len(memo), n
+
+    def test_golden_shapes_in_s40(self):
+        classes = random.Random(40).sample(partitions_of(40), 200)
+        table, memo = CharacterTable(), {}
+        for lam in ((28, 6, 4, 2), (32, 4, 2, 2), (20, 8, 6, 4, 2)):
+            for rho in classes:
+                assert table.character(lam, rho) == beta_list_character(lam, rho, memo)
+        assert len(table) == len(memo)
+
+
+class TestHitFirstLookup:
+    def test_size_mismatch_on_warm_table(self):
+        table = CharacterTable()
+        shapes = list(partitions_up_to(6))
+        for lam in shapes:
+            for rho in partitions_of(sum(lam)):
+                table.character(lam, rho)
+        for lam in shapes:
+            for rho in shapes:
+                if sum(lam) != sum(rho):
+                    with pytest.raises(SizeMismatch):
+                        table.character(lam, rho)
+                    with pytest.raises(SizeMismatch):
+                        table.character(lam, CycleType(rho))
+        # (1, 2) has a repeated bead; its mask would be the warm key of (2)
+        with pytest.raises(ValueError, match="not a partition"):
+            table.character((1, 2), (2,))
+
+    def test_size_mismatch_survives_optimize_flag(self):
+        code = (
+            "from kroncave.characters import character\n"
+            "from kroncave.errors import SizeMismatch\n"
+            "if __debug__:\n"
+            "    raise SystemExit('not running under -O')\n"
+            "assert character((2, 1), (1, 1, 1)) == 2\n"
+            "try:\n"
+            "    character((2, 1), (2, 2))\n"
+            "except SizeMismatch as exc:\n"
+            "    print('SizeMismatch:', exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kroncave.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("SizeMismatch: |lam|=3")
+
+    def test_clear_caches_empties_mask_cache(self):
+        character((3, 1), (2, 2))
+        assert _mask.cache_info().currsize > 0
+        clear_caches()
+        assert _mask.cache_info().currsize == 0

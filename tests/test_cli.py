@@ -282,6 +282,27 @@ class TestFixedProtocol:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "1"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("char", "--lambda", "1,1", "--rho", "2"), ("verify", "paper")],
+        ids=lambda argv: argv[0],
+    )
+    def test_closed_stdout_exits_quietly(self, tmp_path, argv):
+        """A reader that has already gone away: exit 1, nothing on stderr."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kroncave.__file__)))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "kroncave.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONPATH=src, KRONCAVE_CACHE=str(tmp_path / "c.jsonl")),
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+
 
 class TestErrorHandling:
     def test_bad_partition_text_exits_two(self, capsys):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kroncave
 from kroncave import coefficients
@@ -226,6 +227,15 @@ class TestReducedKronecker:
         # the golden triple and the `verify paper --stretch` value, without padding
         assert littlewood_reduced_kronecker((6, 4, 2), (4, 2, 2), (8, 6, 4, 2)) == 6
         assert littlewood_reduced_kronecker((2,) * 8, (2,) * 8, (6, 6)) == 80
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(
+        st.sampled_from(list(partitions_up_to(8))),
+        st.sampled_from(list(partitions_up_to(8))),
+        st.sampled_from(list(partitions_up_to(10))),
+    )
+    def test_matches_littlewood_formula_on_larger_triples(self, lam, mu, nu):
+        assert reduced_kronecker(lam, mu, nu) == littlewood_reduced_kronecker(lam, mu, nu)
 
     def test_cap_formula(self):
         assert stabilization_cap((1,), (1,), (1,)) == 3 + 2 * 3 + 2
