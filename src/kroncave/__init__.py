@@ -22,6 +22,7 @@ from .coefficients import (
     kronecker,
     kronecker_sequence,
     lr_coefficient,
+    lr_expand,
     reduced_kronecker,
     reduced_tensor_decompose,
     stabilization_cap,

@@ -2,10 +2,14 @@
 
 Kronecker coefficients are exact class-weighted character sums; the n!
 division is checked exact on every query (InvariantViolation otherwise) so
-arithmetic bugs fail loudly instead of rounding. Littlewood-Richardson
+arithmetic bugs fail loudly instead of rounding. A whole S_n tensor product
+is one pass over the character table: each multiplicity is the dot product of
+nu's character row with the pair's class-weighted rows. Littlewood-Richardson
 coefficients count skew tableaux by depth-first construction with lattice
-pruning. Reduced Kronecker coefficients are the stable values of padded
-Kronecker sequences, detected by a plateau protocol:
+pruning; a whole product s_lam s_mu is one walk over all LR fillings, adding
+the labels of mu as horizontal strips (the walk of Buch's lrcalc). Reduced
+Kronecker coefficients are the stable values of padded Kronecker sequences,
+detected by a plateau protocol:
 
   start at d0 = max(|lam|+lam1, |mu|+mu1, |nu|+nu1, |lam|+|mu|+|nu|), step d
   upward, and accept as soon as DEFAULT_WINDOW = 2 consecutive values agree.
@@ -20,6 +24,8 @@ trace; a decrease is an implementation bug (InvariantViolation), never data.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from operator import mul
 from typing import Iterable, NamedTuple
 
 from .characters import DEFAULT_TABLE, _mask, cycle_types
@@ -51,8 +57,10 @@ def clear_caches() -> None:
     _REDUCED_MEMO.clear()
     _STABLE_PRODUCTS.clear()
     DEFAULT_TABLE.clear()
+    _row.cache_clear()
     _mask.cache_clear()
     cycle_types.cache_clear()
+    partitions_of.cache_clear()
 
 
 def _pair_weights(lam: Partition, mu: Partition):
@@ -76,6 +84,16 @@ def _pair_weights(lam: Partition, mu: Partition):
     return out
 
 
+def _multiplicity(total: int, nu: Partition, n: int) -> int:
+    """A class-weighted character sum over n!, checked exact and non-negative."""
+    value, rest = divmod(total, math.factorial(n))
+    if rest:
+        raise InvariantViolation(f"non-integral character sum {total} for {nu} in S_{n}")
+    if value < 0:
+        raise InvariantViolation(f"negative multiplicity {value} for {nu} in S_{n}")
+    return value
+
+
 def _class_sum(weights, nu: Partition, n: int) -> int:
     """Multiplicity of nu: the pair's class-weighted character sum over n!."""
     character = DEFAULT_TABLE.character
@@ -84,12 +102,7 @@ def _class_sum(weights, nu: Partition, n: int) -> int:
         x = character(nu, parts)
         if x:
             total += weight * x
-    value, rest = divmod(total, math.factorial(n))
-    if rest:
-        raise InvariantViolation(f"non-integral character sum {total} for {nu} in S_{n}")
-    if value < 0:
-        raise InvariantViolation(f"negative multiplicity {value} for {nu} in S_{n}")
-    return value
+    return _multiplicity(total, nu, n)
 
 
 def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -166,13 +179,25 @@ class VirtualRep:
 VirtualStableRep = VirtualRep
 
 
+@lru_cache(maxsize=None)
+def _row(nu: Partition) -> tuple[int, ...]:
+    """Character row of nu over cycle_types(|nu|)."""
+    character = DEFAULT_TABLE.character
+    return tuple(character(nu, ct) for ct in cycle_types(sum(nu)))
+
+
 def tensor_decompose(lam: Partition, mu: Partition) -> VirtualRep:
     """Full decomposition of the S_n tensor product lam (x) mu."""
     n = sum(lam)
     if sum(mu) != n:
         raise SizeMismatch(f"sizes differ: {sum(lam)} vs {sum(mu)}")
-    weights = _pair_weights(lam, mu)
-    return VirtualRep({nu: _class_sum(weights, nu, n) for nu in partitions_of(n)}, n)
+    lam, mu = tuple(lam), tuple(mu)
+    sizes = [ct.class_size for ct in cycle_types(n)]
+    weights = list(map(mul, sizes, map(mul, _row(lam), _row(mu))))
+    coeffs = {}
+    for nu in partitions_of(n):
+        coeffs[nu] = _multiplicity(sum(map(mul, _row(nu), weights)), nu, n)
+    return VirtualRep(coeffs, n)
 
 
 def _contains(outer: Partition, inner: Partition) -> bool:
@@ -227,6 +252,47 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
         return total
 
     return place(0)
+
+
+def lr_expand(lam: Partition, mu: Partition) -> dict[Partition, int]:
+    """The whole product s_lam s_mu as {nu: c^nu_{lam mu}}, nonzero entries only.
+
+    One walk over all LR fillings: label i = 1..len(mu) adds mu_i cells to the
+    current shape as a horizontal strip, and the lattice condition keeps the
+    number of i's in rows <= r at most the number of (i-1)'s in rows <= r-1.
+    Each completed filling adds 1 to its outer shape.
+    """
+    lam, mu = tuple(lam), tuple(mu)
+    height = len(lam) + len(mu)
+    out: dict[Partition, int] = {}
+
+    def add_label(i: int, shape: tuple, limit: list) -> None:
+        # limit[r]: most copies of label i allowed in rows <= r
+        if i == len(mu):
+            nu = shape[: height - shape.count(0)]
+            out[nu] = out.get(nu, 0) + 1
+            return
+        grown = list(shape)
+        below = [0] * height  # copies of label i in rows <= r
+
+        def strip(r: int, left: int, placed: int) -> None:
+            if not left:
+                below[r:] = [placed] * (height - r)
+                add_label(i + 1, tuple(grown), [0] + below[:-1])
+                return
+            if r and left > shape[r - 1] - shape[-1]:
+                return  # rows r.. cannot hold what is left
+            room = shape[r - 1] - shape[r] if r else left
+            for a in range(min(left, room, limit[r] - placed), -1, -1):
+                grown[r] = shape[r] + a
+                below[r] = placed + a
+                strip(r + 1, left - a, placed + a)
+            grown[r] = shape[r]
+
+        strip(0, mu[i], 0)
+
+    add_label(0, lam + (0,) * len(mu), [sum(mu)] * height)
+    return out
 
 
 def kostka(lam: Partition, mu: Partition) -> int:

@@ -168,7 +168,22 @@ class TestHitFirstLookup:
         assert proc.stdout.startswith("SizeMismatch: |lam|=3")
 
     def test_clear_caches_empties_mask_cache(self):
+        from kroncave import characters, coefficients
+
         character((3, 1), (2, 2))
+        coefficients.tensor_decompose((2, 1), (2, 1))
+        coefficients.lr_expand((2, 1), (1,))
+        memos = {
+            f"{module.__name__}.{name}": fn
+            for module in (characters, coefficients)
+            for name, fn in vars(module).items()
+            if hasattr(fn, "cache_clear")
+        }
+        assert {"kroncave.characters._mask", "kroncave.coefficients._row"} <= set(memos)
         assert _mask.cache_info().currsize > 0
+        assert coefficients._row.cache_info().currsize > 0
         clear_caches()
-        assert _mask.cache_info().currsize == 0
+        assert {name: fn.cache_info().currsize for name, fn in memos.items()} == dict.fromkeys(
+            memos, 0
+        )
+        assert len(characters.DEFAULT_TABLE) == 0

@@ -1,5 +1,7 @@
 import itertools
+import math
 import os
+import random
 import subprocess
 import sys
 
@@ -17,6 +19,7 @@ from kroncave.coefficients import (
     kronecker,
     kronecker_sequence,
     lr_coefficient,
+    lr_expand,
     reduced_kronecker,
     reduced_tensor_decompose,
     stabilization_cap,
@@ -26,7 +29,7 @@ from kroncave.coefficients import (
     tensor_decompose,
 )
 from kroncave.errors import PadTooSmall, SizeMismatch, StabilizationNotDetected
-from kroncave.partitions import conjugate, partitions_of, partitions_up_to
+from kroncave.partitions import conjugate, partitions_of, partitions_up_to, syt_count
 
 from oracles import (
     littlewood_reduced_kronecker,
@@ -89,6 +92,16 @@ class TestTensorDecompose:
                     total = sum(c * dimension(nu) for nu, c in rep.items())
                     assert total == dimension(lam) * dimension(mu)
 
+    def test_matches_kronecker(self):
+        for n in range(1, 9):
+            for lam in partitions_of(n):
+                for mu in partitions_of(n):
+                    rep = tensor_decompose(lam, mu)
+                    for nu in partitions_of(n):
+                        assert rep[nu] == kronecker(lam, mu, nu), (lam, mu, nu)
+                    total = sum(g * syt_count(nu) for nu, g in rep.items())
+                    assert total == syt_count(lam) * syt_count(mu), (lam, mu)
+
     def test_virtual_arithmetic(self):
         a = tensor_decompose((2, 1), (2, 1))
         zero = a - a
@@ -149,6 +162,48 @@ class TestLittlewoodRichardson:
                             assert lr_coefficient(lam, mu, nu) == lr_count_bruteforce(
                                 lam, mu, nu
                             ), (lam, mu, nu)
+
+
+class TestLrExpand:
+    @staticmethod
+    def pairs(max_total):
+        for total in range(max_total + 1):
+            for size in range(total + 1):
+                for lam in partitions_of(size):
+                    for mu in partitions_of(total - size):
+                        yield lam, mu, total
+
+    def test_matches_lr_coefficient(self):
+        for lam, mu, total in self.pairs(9):
+            expected = {nu: lr_coefficient(lam, mu, nu) for nu in partitions_of(total)}
+            expected = {nu: c for nu, c in expected.items() if c}
+            assert lr_expand(lam, mu) == expected, (lam, mu)
+
+    def test_matches_bruteforce(self):
+        for lam, mu, total in self.pairs(6):
+            expected = {nu: lr_count_bruteforce(lam, mu, nu) for nu in partitions_of(total)}
+            expected = {nu: c for nu, c in expected.items() if c}
+            assert lr_expand(lam, mu) == expected, (lam, mu)
+
+    def test_symmetric(self):
+        for lam, mu, _ in self.pairs(10):
+            assert lr_expand(lam, mu) == lr_expand(mu, lam), (lam, mu)
+
+    def test_edge_cases(self):
+        assert lr_expand((), ()) == {(): 1}
+        assert lr_expand((3, 1), ()) == {(3, 1): 1}
+        assert lr_expand((), (2, 2)) == {(2, 2): 1}
+        assert lr_expand((6, 4, 2), (4, 2, 2))[(8, 6, 4, 2)] == 6
+
+    def test_dimension_identity(self):
+        rng = random.Random(16)
+        for _ in range(50):
+            a = rng.randint(0, 16)
+            b = rng.randint(0, 16 - a)
+            lam = rng.choice(partitions_of(a))
+            mu = rng.choice(partitions_of(b))
+            total = sum(c * syt_count(nu) for nu, c in lr_expand(lam, mu).items())
+            assert total == math.comb(a + b, a) * syt_count(lam) * syt_count(mu), (lam, mu)
 
 
 class TestKostka:
@@ -332,3 +387,33 @@ class TestInvariantChecks:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("InvariantViolation: non-integral character sum")
+
+    def test_tensor_decompose_checks_survive_optimize_flag(self):
+        """A corrupted character row fails the exactness checks under -O."""
+        code = (
+            "from kroncave import coefficients\n"
+            "from kroncave.errors import InvariantViolation\n"
+            "if __debug__:\n"
+            "    raise SystemExit('not running under -O')\n"
+            "row = coefficients._row\n"
+            "def corrupt(last):\n"
+            "    def bad(nu):\n"
+            "        return row(nu)[:-1] + (last,) if nu == (2, 1) else row(nu)\n"
+            "    coefficients._row = bad\n"
+            "for last in (3, -4):\n"
+            "    corrupt(last)\n"
+            "    try:\n"
+            "        coefficients.tensor_decompose((3,), (3,))\n"
+            "    except InvariantViolation as exc:\n"
+            "        print('InvariantViolation:', exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kroncave.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "InvariantViolation: non-integral character sum 1 for (2, 1) in S_3",
+            "InvariantViolation: negative multiplicity -1 for (2, 1) in S_3",
+        ]
