@@ -2,14 +2,19 @@
 
 Kronecker coefficients are exact class-weighted character sums; the n!
 division is checked exact on every query (InvariantViolation otherwise) so
-arithmetic bugs fail loudly instead of rounding. A whole S_n tensor product
-is one pass over the character table: each multiplicity is the dot product of
-nu's character row with the pair's class-weighted rows. Littlewood-Richardson
-coefficients count skew tableaux by depth-first construction with lattice
-pruning; a whole product s_lam s_mu is one walk over all LR fillings, adding
-the labels of mu as horizontal strips (the walk of Buch's lrcalc). Reduced
-Kronecker coefficients are the stable values of padded Kronecker sequences,
-detected by a plateau protocol:
+arithmetic bugs fail loudly instead of rounding. Character rows over
+cycle_types(n) live in one store, filled only at the classes a sum asks for,
+so each character is looked up once per clear_caches(). A pair (lam, mu)
+keeps its support, the classes where chi_lam * chi_mu != 0, with
+class_size * chi_lam * chi_mu on it. A single coefficient gathers nu's row on
+that support, so a sum at S_40 never pays for a whole row; a whole S_n tensor
+product takes one dense dot product per nu with complete rows.
+
+Littlewood-Richardson coefficients count skew tableaux by depth-first
+construction with lattice pruning; a whole product s_lam s_mu is one walk
+over all LR fillings, adding the labels of mu as horizontal strips (the walk
+of Buch's lrcalc). Reduced Kronecker coefficients are the stable values of
+padded Kronecker sequences, detected by a plateau protocol:
 
   start at d0 = max(|lam|+lam1, |mu|+mu1, |nu|+nu1, |lam|+|mu|+|nu|), step d
   upward, and accept as soon as DEFAULT_WINDOW = 2 consecutive values agree.
@@ -24,7 +29,6 @@ trace; a decrease is an implementation bug (InvariantViolation), never data.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from operator import mul
 from typing import Iterable, NamedTuple
 
@@ -42,7 +46,11 @@ from .partitions import (
 
 DEFAULT_WINDOW = 2
 
-# (lam, mu) -> [(cycle parts, class_size * chi_lam * chi_mu), ...] nonzero only.
+# nu -> character row of nu over cycle_types(|nu|): a tuple once complete,
+# before that a list with None at the classes no sum has asked for yet.
+_ROWS: dict = {}
+# (lam, mu) -> (support, weights): the class indices where chi_lam * chi_mu
+# != 0, ascending, and class_size * chi_lam * chi_mu at each of them.
 # Values are table-independent exact integers, so one shared store is safe.
 _PAIR_WEIGHTS: dict = {}
 # (pair key, nu) -> stable value
@@ -53,14 +61,37 @@ _STABLE_PRODUCTS: dict = {}
 
 def clear_caches() -> None:
     """Drop every in-process memo (character table included)."""
+    _ROWS.clear()
     _PAIR_WEIGHTS.clear()
     _REDUCED_MEMO.clear()
     _STABLE_PRODUCTS.clear()
     DEFAULT_TABLE.clear()
-    _row.cache_clear()
     _mask.cache_clear()
     cycle_types.cache_clear()
     partitions_of.cache_clear()
+
+
+def _full_row(nu: Partition) -> tuple[int, ...]:
+    """nu's complete character row over cycle_types(|nu|), from the store."""
+    row = _ROWS.get(nu)
+    if type(row) is not tuple:
+        row = _ROWS[nu] = tuple(_row_on(nu, range(len(cycle_types(sum(nu))))))
+    return row
+
+
+def _row_on(nu: Partition, support) -> list | tuple:
+    """nu's row from the store, filled at least at the class indices in support."""
+    row = _ROWS.get(nu)
+    if type(row) is tuple:
+        return row
+    classes = cycle_types(sum(nu))
+    if row is None:
+        row = _ROWS[nu] = [None] * len(classes)
+    character = DEFAULT_TABLE.character
+    for i in support:
+        if row[i] is None:
+            row[i] = character(nu, classes[i])
+    return row
 
 
 def _pair_weights(lam: Partition, mu: Partition):
@@ -69,18 +100,13 @@ def _pair_weights(lam: Partition, mu: Partition):
     if hit is not None:
         return hit
     a, b = key
-    same = a == b
-    character = DEFAULT_TABLE.character
-    out = []
-    for ct in cycle_types(sum(a)):
-        xa = character(a, ct)
-        if xa == 0:
-            continue
-        xb = xa if same else character(b, ct)
-        if xb == 0:
-            continue
-        out.append((ct.parts, ct.class_size * xa * xb))
-    _PAIR_WEIGHTS[key] = out
+    row_a = _full_row(a)
+    support = [i for i, x in enumerate(row_a) if x]
+    row_b = row_a if a == b else _row_on(b, support)
+    support = tuple(i for i in support if row_b[i])
+    classes = cycle_types(sum(a))
+    weights = tuple(classes[i].class_size * row_a[i] * row_b[i] for i in support)
+    _PAIR_WEIGHTS[key] = out = (support, weights)
     return out
 
 
@@ -94,14 +120,18 @@ def _multiplicity(total: int, nu: Partition, n: int) -> int:
     return value
 
 
-def _class_sum(weights, nu: Partition, n: int) -> int:
-    """Multiplicity of nu: the pair's class-weighted character sum over n!."""
-    character = DEFAULT_TABLE.character
-    total = 0
-    for parts, weight in weights:
-        x = character(nu, parts)
-        if x:
-            total += weight * x
+def _class_sum(support, weights, nu: Partition, n: int) -> int:
+    """Multiplicity of nu: nu's row gathered on the pair's support, dotted with
+    the pair's weights, over n!."""
+    row = _ROWS.get(nu)
+    if row is not None:
+        try:
+            total = sum(map(mul, map(row.__getitem__, support), weights))
+        except TypeError:  # None * weight: a hole on this support
+            row = None
+    if row is None:
+        row = _row_on(nu, support)
+        total = sum(map(mul, map(row.__getitem__, support), weights))
     return _multiplicity(total, nu, n)
 
 
@@ -110,7 +140,7 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         raise SizeMismatch(f"sizes differ: {sum(lam)}, {sum(mu)}, {sum(nu)}")
-    return _class_sum(_pair_weights(lam, mu), nu, n)
+    return _class_sum(*_pair_weights(lam, mu), nu, n)
 
 
 class VirtualRep:
@@ -179,13 +209,6 @@ class VirtualRep:
 VirtualStableRep = VirtualRep
 
 
-@lru_cache(maxsize=None)
-def _row(nu: Partition) -> tuple[int, ...]:
-    """Character row of nu over cycle_types(|nu|)."""
-    character = DEFAULT_TABLE.character
-    return tuple(character(nu, ct) for ct in cycle_types(sum(nu)))
-
-
 def tensor_decompose(lam: Partition, mu: Partition) -> VirtualRep:
     """Full decomposition of the S_n tensor product lam (x) mu."""
     n = sum(lam)
@@ -193,10 +216,10 @@ def tensor_decompose(lam: Partition, mu: Partition) -> VirtualRep:
         raise SizeMismatch(f"sizes differ: {sum(lam)} vs {sum(mu)}")
     lam, mu = tuple(lam), tuple(mu)
     sizes = [ct.class_size for ct in cycle_types(n)]
-    weights = list(map(mul, sizes, map(mul, _row(lam), _row(mu))))
+    weights = list(map(mul, sizes, map(mul, _full_row(lam), _full_row(mu))))
     coeffs = {}
     for nu in partitions_of(n):
-        coeffs[nu] = _multiplicity(sum(map(mul, _row(nu), weights)), nu, n)
+        coeffs[nu] = _multiplicity(sum(map(mul, _full_row(nu), weights)), nu, n)
     return VirtualRep(coeffs, n)
 
 

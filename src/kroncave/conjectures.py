@@ -10,6 +10,7 @@ omits wall-clock time; the full JSON form includes it.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -394,10 +395,10 @@ def scan(
     """Run one per-pair check over every admissible tuple within the box budget.
 
     Pairs failing a check's precondition (non-integral midpoints, unequal
-    sizes where required) count as skipped. Workers may run in parallel; the
-    merge is a fold in enumeration order, so reports do not depend on the
-    schedule. Each worker buffers its cache writes and the parent performs
-    the actual appends.
+    sizes where required) count as skipped. Up to min(jobs, tasks, CPUs)
+    workers run in parallel, and none when that is 1; the merge is a fold in
+    enumeration order, so reports do not depend on the schedule. Each worker
+    buffers its cache writes and the parent performs the actual appends.
     """
     name = conjecture.replace("-", "_")
     if name not in SCAN_CONJECTURES:
@@ -410,7 +411,10 @@ def scan(
         payloads = list(_pairs_with_total(max_boxes, equal_sizes=name == "midpoint_kronecker"))
         subject = f"scan:{name}:max_boxes={max_boxes}"
     tasks = ((name, payload) for payload in payloads)
-    if jobs <= 1:
+    # A forked pool starts every worker up front, so never ask for more
+    # workers than there are tasks or CPUs.
+    workers = min(jobs, len(payloads), os.cpu_count() or 1)
+    if workers <= 1:
         results = map(partial(_scan_task, cache=cache), tasks)
         scanned, skipped, violations = _merge(results, cache)
     else:
@@ -418,9 +422,9 @@ def scan(
         if cache is not None:
             worker_cache = RecordingCache(cache.path, cache.engine_version)
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_worker_init, initargs=(worker_cache,)
+            max_workers=workers, initializer=_worker_init, initargs=(worker_cache,)
         ) as pool:
-            chunk = max(1, len(payloads) // (jobs * 8))
+            chunk = max(1, len(payloads) // (workers * 8))
             results = pool.map(_worker_task, tasks, chunksize=chunk)
             scanned, skipped, violations = _merge(results, cache)
     return ViolationReport(

@@ -173,17 +173,25 @@ class TestHitFirstLookup:
         character((3, 1), (2, 2))
         coefficients.tensor_decompose((2, 1), (2, 1))
         coefficients.lr_expand((2, 1), (1,))
+        coefficients.reduced_tensor_decompose((1,), (1,))
         memos = {
             f"{module.__name__}.{name}": fn
             for module in (characters, coefficients)
             for name, fn in vars(module).items()
             if hasattr(fn, "cache_clear")
         }
-        assert {"kroncave.characters._mask", "kroncave.coefficients._row"} <= set(memos)
+        stores = {
+            name: value
+            for name, value in vars(coefficients).items()
+            if type(value) is dict and not name.startswith("__")
+        }
+        assert "kroncave.characters._mask" in memos
+        assert {"_ROWS", "_PAIR_WEIGHTS", "_REDUCED_MEMO", "_STABLE_PRODUCTS"} <= set(stores)
         assert _mask.cache_info().currsize > 0
-        assert coefficients._row.cache_info().currsize > 0
+        assert all(stores.values()), {name: len(value) for name, value in stores.items()}
         clear_caches()
         assert {name: fn.cache_info().currsize for name, fn in memos.items()} == dict.fromkeys(
             memos, 0
         )
+        assert {name: len(value) for name, value in stores.items()} == dict.fromkeys(stores, 0)
         assert len(characters.DEFAULT_TABLE) == 0

@@ -4,13 +4,14 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import kroncave
 from kroncave import coefficients
-from kroncave.characters import dimension
+from kroncave.characters import DEFAULT_TABLE, CharacterTable, CycleType, cycle_types, dimension
 from kroncave.coefficients import (
     VirtualRep,
     VirtualStableRep,
@@ -28,10 +29,12 @@ from kroncave.coefficients import (
     stable_ring_multiply,
     tensor_decompose,
 )
+from kroncave.conjectures import scan
 from kroncave.errors import PadTooSmall, SizeMismatch, StabilizationNotDetected
 from kroncave.partitions import conjugate, partitions_of, partitions_up_to, syt_count
 
 from oracles import (
+    beta_list_character,
     littlewood_reduced_kronecker,
     lr_count_bruteforce,
     lr_filling_count,
@@ -126,6 +129,124 @@ class TestTensorDecompose:
             fixed * fixed
         with pytest.raises(TypeError):
             VirtualStableRep.single((1,)) * fixed
+
+
+def _triples(max_n):
+    for n in range(max_n + 1):
+        shapes = partitions_of(n)
+        for lam in shapes:
+            for mu in shapes:
+                for nu in shapes:
+                    yield lam, mu, nu
+
+
+def _shapes_of(n, largest=None):
+    """Partitions of n, generated here so the oracle shares nothing with kroncave."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _shapes_of(n - first, first):
+            yield (first,) + rest
+
+
+def beta_list_kronecker(lam, mu, nu):
+    """Class sum over n! on beta-list characters, with a memo of its own."""
+    n = sum(lam)
+    memo = {}
+    total = 0
+    for rho in _shapes_of(n):
+        z = math.prod(k**m * math.factorial(m) for k, m in Counter(rho).items())
+        chars = [beta_list_character(shape, rho, memo) for shape in (lam, mu, nu)]
+        total += math.factorial(n) // z * math.prod(chars)
+    value, rest = divmod(total, math.factorial(n))
+    assert rest == 0 and value >= 0, (lam, mu, nu, total)
+    return value
+
+
+def _character_requests(monkeypatch, max_boxes):
+    """(shape, class) -> CharacterTable.character calls in a cold midpoint scan."""
+    clear_caches()
+    requests = Counter()
+    original = CharacterTable.character
+
+    def counted(table, lam, rho):
+        requests[tuple(lam), rho.parts if type(rho) is CycleType else tuple(rho)] += 1
+        return original(table, lam, rho)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CharacterTable, "character", counted)
+        assert scan("midpoint-reduced", max_boxes).passed
+    return requests
+
+
+class TestRowStore:
+    def test_fill_order_does_not_change_kronecker(self):
+        triples = list(_triples(7))
+        fresh = {}
+        for triple in triples:
+            clear_caches()
+            fresh[triple] = kronecker(*triple)
+
+        # Narrow supports first, so wider sums meet rows with holes on them.
+        width = {t: len(coefficients._pair_weights(t[0], t[1])[0]) for t in triples}
+        by_support = sorted(triples, key=lambda t: (width[t], t))
+        clear_caches()
+        partly_filled, holes_met = {}, 0
+        for lam, mu, nu in by_support:
+            support = coefficients._pair_weights(lam, mu)[0]
+            row = coefficients._ROWS.get(nu)
+            holes_met += type(row) is list and any(row[i] is None for i in support)
+            partly_filled[lam, mu, nu] = kronecker(lam, mu, nu)
+        assert holes_met > 0
+
+        clear_caches()
+        for n in range(8):
+            for lam in partitions_of(n):
+                for mu in partitions_of(n):
+                    tensor_decompose(lam, mu)
+        assert all(type(row) is tuple for row in coefficients._ROWS.values())
+        completed = {triple: kronecker(*triple) for triple in triples}
+
+        assert fresh == partly_filled == completed
+
+    def test_padded_scan_triples_match_beta_list_sum(self, monkeypatch):
+        clear_caches()
+        seen = set()
+        original = coefficients.kronecker
+
+        def recording(lam, mu, nu):
+            seen.add((lam, mu, nu))
+            return original(lam, mu, nu)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(coefficients, "kronecker", recording)
+            scan("midpoint-reduced", 6)
+        padded = sorted(seen, key=lambda t: (sum(t[0]), t))
+        picked = padded[:: max(1, len(padded) // 30)] + padded[-3:]
+        assert 30 <= len(picked) <= 40 and max(sum(t[0]) for t in picked) >= 13
+        clear_caches()
+        for triple in picked:
+            assert kronecker(*triple) == beta_list_kronecker(*triple), triple
+
+    def test_scan_asks_each_character_once(self, monkeypatch):
+        requests = _character_requests(monkeypatch, 6)
+        assert [key for key, calls in requests.items() if calls > 1] == []
+        # only the characters the sums need, with their recursion: no whole rows of nu
+        assert len(DEFAULT_TABLE) == 7502
+
+    def test_count_guard_sees_repeated_rows(self, monkeypatch):
+        """The guard above fails when each sum evaluates nu on every class again."""
+
+        def every_class(support, weights, nu, n):
+            row = [DEFAULT_TABLE.character(nu, ct) for ct in cycle_types(n)]
+            total = sum(row[i] * w for i, w in zip(support, weights))
+            return coefficients._multiplicity(total, nu, n)
+
+        monkeypatch.setattr(coefficients, "_class_sum", every_class)
+        requests = _character_requests(monkeypatch, 6)
+        assert max(requests.values()) > 1
 
 
 class TestLittlewoodRichardson:
@@ -376,7 +497,7 @@ class TestInvariantChecks:
             "if __debug__:\n"
             "    raise SystemExit('not running under -O')\n"
             "try:\n"
-            "    _class_sum([((1, 1), 1)], (2,), 2)\n"
+            "    _class_sum((1,), (1,), (2,), 2)\n"
             "except InvariantViolation as exc:\n"
             "    print('InvariantViolation:', exc)\n"
         )
@@ -395,13 +516,9 @@ class TestInvariantChecks:
             "from kroncave.errors import InvariantViolation\n"
             "if __debug__:\n"
             "    raise SystemExit('not running under -O')\n"
-            "row = coefficients._row\n"
-            "def corrupt(last):\n"
-            "    def bad(nu):\n"
-            "        return row(nu)[:-1] + (last,) if nu == (2, 1) else row(nu)\n"
-            "    coefficients._row = bad\n"
+            "row = coefficients._full_row((2, 1))\n"
             "for last in (3, -4):\n"
-            "    corrupt(last)\n"
+            "    coefficients._ROWS[(2, 1)] = row[:-1] + (last,)\n"
             "    try:\n"
             "        coefficients.tensor_decompose((3,), (3,))\n"
             "    except InvariantViolation as exc:\n"

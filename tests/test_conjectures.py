@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from kroncave import conjectures
 from kroncave.coefficients import clear_caches, kronecker, reduced_kronecker
 from kroncave.conjectures import (
     EXPECTED_SQUARE_DIFFERENCE_S8,
@@ -252,6 +253,35 @@ class TestScan:
         parallel = scan("sort", 5, jobs=2)
         assert sequential.canonical_json() == parallel.canonical_json()
         assert not sequential.passed
+
+    def test_pool_is_capped_by_tasks_and_cpus(self, monkeypatch):
+        """Workers = min(jobs, tasks, CPUs), and no pool at all when that is 1."""
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                asked.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(conjectures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(conjectures, "_WORKER_CACHE", None)
+        expected = scan("midpoint_reduced", 4).canonical_json()
+        tasks = len(list(conjectures._pairs_with_total(4)))
+        cases = [(64, 1000, [tasks]), (3, 8, [3]), (64, 2, [2]), (1, 8, []), (None, 8, [])]
+        for cpus, jobs, workers in cases:
+            monkeypatch.setattr(conjectures.os, "cpu_count", lambda cpus=cpus: cpus)
+            asked.clear()
+            assert scan("midpoint_reduced", 4, jobs=jobs).canonical_json() == expected
+            assert asked == workers, (cpus, jobs)
 
     def test_cache_lines_match_across_job_counts(self, tmp_path):
         lines = []
