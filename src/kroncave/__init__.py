@@ -5,10 +5,9 @@ ring."""
 
 from .characters import (
     CharacterTable,
-    CycleType,
     character,
     character_value,
-    cycle_types,
+    class_sizes,
     dimension,
 )
 from .closed_forms import ReachQuery, reach_count, reduced_hook, reduced_two_row
@@ -80,7 +79,6 @@ from .partitions import (
     union_parts,
 )
 from .store import (
-    CacheRecord,
     CoefficientCache,
     ENGINE_VERSION,
     format_partition,

@@ -9,52 +9,42 @@ so each mask with bit 0 clear is exactly one shape and serves as its memo key.
 Cycles are consumed largest first, which shrinks the shape fastest and
 maximizes memo reuse across queries. All arithmetic is exact Python ints;
 factorials past 20! overflow machine words, so nothing here may ever round.
+
+A conjugacy class of S_n is its cycle type, a partition of n. The classes
+are indexed in the order of partitions_of(n), and class_sizes(n) lists their
+sizes in that order.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import lru_cache
 
 from .errors import InvariantViolation, SizeMismatch
 from .partitions import Partition, partitions_of, syt_count
 
 
-class CycleType:
-    """Conjugacy class of S_n given by its cycle lengths."""
-
-    __slots__ = ("parts", "n", "multiplicities", "centralizer_order", "class_size")
-
-    def __init__(self, parts: Partition):
-        self.parts = tuple(parts)
-        self.n = sum(self.parts)
-        self.multiplicities = dict(Counter(self.parts))
-        z = 1
-        for length, mult in self.multiplicities.items():
-            z *= length**mult * math.factorial(mult)
-        self.centralizer_order = z
-        self.class_size, rest = divmod(math.factorial(self.n), z)
-        if rest:
-            raise InvariantViolation(f"centralizer order {z} does not divide {self.n}!")
-
-    def sign(self) -> int:
-        return -1 if (self.n - len(self.parts)) % 2 else 1
-
-    def __eq__(self, other):
-        return isinstance(other, CycleType) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return f"CycleType{self.parts!r}"
-
-
 @lru_cache(maxsize=None)
-def cycle_types(n: int) -> tuple[CycleType, ...]:
-    """All conjugacy classes of S_n, cycle type lexicographically decreasing."""
-    return tuple(CycleType(p) for p in partitions_of(n))
+def class_sizes(n: int) -> tuple[int, ...]:
+    """Sizes of the conjugacy classes of S_n, in the order of partitions_of(n).
+
+    The class of cycle type p has n!/z_p elements, z_p = prod k^m * m! over
+    the parts k of p with multiplicity m. Equal parts are adjacent, so the
+    j-th copy of a part k contributes the factor k * j.
+    """
+    order = math.factorial(n)
+    sizes = []
+    for p in partitions_of(n):
+        z = 1
+        run = 0
+        for i, k in enumerate(p):
+            run = run + 1 if i and p[i - 1] == k else 1
+            z *= k * run
+        size, rest = divmod(order, z)
+        if rest:
+            raise InvariantViolation(f"centralizer order {z} of {p} does not divide {n}!")
+        sizes.append(size)
+    return tuple(sizes)
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +119,7 @@ class CharacterTable:
         self._memo: dict = {}
 
     def character(self, lam: Partition, rho) -> int:
-        cycles = rho.parts if type(rho) is CycleType else tuple(rho)
+        cycles = tuple(rho)
         # Every memo key has |shape| == |cycles|, so a hit needs no size check.
         try:
             return self._memo[_mask(lam), cycles]

@@ -2,11 +2,13 @@
 
 Kronecker coefficients are exact class-weighted character sums; the n!
 division is checked exact on every query (InvariantViolation otherwise) so
-arithmetic bugs fail loudly instead of rounding. Character rows over
-cycle_types(n) live in one store, filled only at the classes a sum asks for,
-so each character is looked up once per clear_caches(). A pair (lam, mu)
-keeps its support, the classes where chi_lam * chi_mu != 0, with
-class_size * chi_lam * chi_mu on it. A single coefficient gathers nu's row on
+arithmetic bugs fail loudly instead of rounding. The classes of S_n are the
+partitions of n, indexed in the order of partitions_of(n), and
+characters.class_sizes(n) gives their sizes in that order. Character rows
+over those classes live in one store, filled only at the classes a sum asks
+for, so each character is looked up once per clear_caches(). A pair
+(lam, mu) keeps its support, the classes where chi_lam * chi_mu != 0, with
+class size * chi_lam * chi_mu on it. A single coefficient gathers nu's row on
 that support, so a sum at S_40 never pays for a whole row; a whole S_n tensor
 product takes one dense dot product per nu with complete rows.
 
@@ -32,7 +34,7 @@ import math
 from operator import mul
 from typing import Iterable, NamedTuple
 
-from .characters import DEFAULT_TABLE, _mask, cycle_types
+from .characters import DEFAULT_TABLE, _mask, class_sizes
 from .errors import InvariantViolation, SizeMismatch, StabilizationNotDetected
 from .partitions import (
     EMPTY,
@@ -46,11 +48,11 @@ from .partitions import (
 
 DEFAULT_WINDOW = 2
 
-# nu -> character row of nu over cycle_types(|nu|): a tuple once complete,
-# before that a list with None at the classes no sum has asked for yet.
+# nu -> character row of nu over the classes partitions_of(|nu|): a tuple once
+# complete, before that a list with None at the classes no sum has asked for yet.
 _ROWS: dict = {}
 # (lam, mu) -> (support, weights): the class indices where chi_lam * chi_mu
-# != 0, ascending, and class_size * chi_lam * chi_mu at each of them.
+# != 0, ascending, and class size * chi_lam * chi_mu at each of them.
 # Values are table-independent exact integers, so one shared store is safe.
 _PAIR_WEIGHTS: dict = {}
 # (pair key, nu) -> stable value
@@ -67,15 +69,15 @@ def clear_caches() -> None:
     _STABLE_PRODUCTS.clear()
     DEFAULT_TABLE.clear()
     _mask.cache_clear()
-    cycle_types.cache_clear()
+    class_sizes.cache_clear()
     partitions_of.cache_clear()
 
 
 def _full_row(nu: Partition) -> tuple[int, ...]:
-    """nu's complete character row over cycle_types(|nu|), from the store."""
+    """nu's complete character row over partitions_of(|nu|), from the store."""
     row = _ROWS.get(nu)
     if type(row) is not tuple:
-        row = _ROWS[nu] = tuple(_row_on(nu, range(len(cycle_types(sum(nu))))))
+        row = _ROWS[nu] = tuple(_row_on(nu, range(len(partitions_of(sum(nu))))))
     return row
 
 
@@ -84,7 +86,7 @@ def _row_on(nu: Partition, support) -> list | tuple:
     row = _ROWS.get(nu)
     if type(row) is tuple:
         return row
-    classes = cycle_types(sum(nu))
+    classes = partitions_of(sum(nu))
     if row is None:
         row = _ROWS[nu] = [None] * len(classes)
     character = DEFAULT_TABLE.character
@@ -104,8 +106,8 @@ def _pair_weights(lam: Partition, mu: Partition):
     support = [i for i, x in enumerate(row_a) if x]
     row_b = row_a if a == b else _row_on(b, support)
     support = tuple(i for i in support if row_b[i])
-    classes = cycle_types(sum(a))
-    weights = tuple(classes[i].class_size * row_a[i] * row_b[i] for i in support)
+    sizes = class_sizes(sum(a))
+    weights = tuple(sizes[i] * row_a[i] * row_b[i] for i in support)
     _PAIR_WEIGHTS[key] = out = (support, weights)
     return out
 
@@ -215,8 +217,7 @@ def tensor_decompose(lam: Partition, mu: Partition) -> VirtualRep:
     if sum(mu) != n:
         raise SizeMismatch(f"sizes differ: {sum(lam)} vs {sum(mu)}")
     lam, mu = tuple(lam), tuple(mu)
-    sizes = [ct.class_size for ct in cycle_types(n)]
-    weights = list(map(mul, sizes, map(mul, _full_row(lam), _full_row(mu))))
+    weights = list(map(mul, class_sizes(n), map(mul, _full_row(lam), _full_row(mu))))
     coeffs = {}
     for nu in partitions_of(n):
         coeffs[nu] = _multiplicity(sum(map(mul, _full_row(nu), weights)), nu, n)

@@ -132,15 +132,10 @@ def check_midpoint_kronecker(lam: Partition, mu: Partition) -> ViolationReport:
     bigger = tensor_decompose(mid, mid)
     smaller = tensor_decompose(lam, mu)
     lam_text, mu_text = format_partition(lam), format_partition(mu)
-    violations = []
-    for nu in sorted(partitions_of(n)):
-        lhs, rhs = bigger[nu], smaller[nu]
-        if lhs < rhs:
-            violations.append(Violation(lam_text, mu_text, format_partition(nu), lhs, rhs))
     return ViolationReport(
         subject=f"midpoint-kronecker lambda={lam_text} mu={mu_text}",
         pairs_scanned=1,
-        violations=violations,
+        violations=_compare_violations(lam_text, mu_text, bigger, smaller),
         elapsed_ms=_elapsed_ms(start),
     )
 
@@ -239,19 +234,12 @@ def check_schur_log_concavity(lam: Partition, mu: Partition) -> ViolationReport:
     mid = midpoint(lam, mu, "exact")
     total = sum(lam) + sum(mu)
     lam_text, mu_text = format_partition(lam), format_partition(mu)
-    bigger = lr_expand(mid, mid)
-    smaller = lr_expand(lam, mu)
-    violations = []
-    scanned = 0
-    for nu in sorted(partitions_of(total)):
-        lhs, rhs = bigger.get(nu, 0), smaller.get(nu, 0)
-        scanned += 1
-        if lhs < rhs:
-            violations.append(Violation(lam_text, mu_text, format_partition(nu), lhs, rhs))
+    bigger = VirtualRep(lr_expand(mid, mid))
+    smaller = VirtualRep(lr_expand(lam, mu))
     return ViolationReport(
         subject=f"schur-lr lambda={lam_text} mu={mu_text}",
-        pairs_scanned=scanned,
-        violations=violations,
+        pairs_scanned=len(partitions_of(total)),
+        violations=_compare_violations(lam_text, mu_text, bigger, smaller),
         elapsed_ms=_elapsed_ms(start),
     )
 
@@ -370,7 +358,7 @@ def _worker_task(task):
 
 
 def _merge(results, cache):
-    """Fold task results in enumeration order, replaying buffered cache records."""
+    """Fold task results in enumeration order, replaying buffered cache writes."""
     scanned = skipped = 0
     violations: list[Violation] = []
     for found, records in results:
@@ -379,8 +367,8 @@ def _merge(results, cache):
             continue
         scanned += 1
         violations.extend(found)
-        for record in records:
-            cache.put_record(record)
+        for key, value in records:
+            cache.put(*key, value)
     return scanned, skipped, violations
 
 
@@ -420,7 +408,7 @@ def scan(
     else:
         worker_cache = None
         if cache is not None:
-            worker_cache = RecordingCache(cache.path, cache.engine_version)
+            worker_cache = RecordingCache(cache.path)
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_worker_init, initargs=(worker_cache,)
         ) as pool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass
 
 from .errors import PartitionParseError, StoreIOError
 from .partitions import Partition, canonical_key
@@ -59,16 +58,6 @@ def parse_partition_text(s: str) -> Partition:
     return tuple(parts)
 
 
-@dataclass(frozen=True)
-class CacheRecord:
-    kind: str
-    lam: str
-    mu: str
-    nu: str
-    value: int
-    engine_version: str = ENGINE_VERSION
-
-
 def resolve_cache_path(flag_value: str | None = None) -> str:
     """Flag beats the KRONCAVE_CACHE environment variable beats the default."""
     if flag_value:
@@ -91,9 +80,8 @@ class CoefficientCache:
     advisory lock when the platform provides one.
     """
 
-    def __init__(self, path: str, engine_version: str = ENGINE_VERSION):
+    def __init__(self, path: str):
         self.path = path
-        self.engine_version = engine_version
         self._index: dict | None = None
         self._conflicts: set = set()
 
@@ -146,7 +134,7 @@ class CoefficientCache:
         except (KeyError, ValueError, TypeError) as exc:
             log.warning("%s:%d: skipping corrupt cache line (%s)", self.path, lineno, exc)
             return None
-        if version != self.engine_version:
+        if version != ENGINE_VERSION:
             return None  # stale engine entries are silently ignored
         a, b, c = _canonical_args(lam, mu, nu)
         return (kind, a, b, c), int(text)
@@ -164,27 +152,17 @@ class CoefficientCache:
             return
         index[key] = value
         if key not in self._conflicts:  # one more line cannot settle a conflict
-            self._write(self._record(key, value))
+            self._write(key, value)
 
-    def _record(self, key, value: int) -> CacheRecord:
+    def _write(self, key, value: int):
         kind, a, b, c = key
-        return CacheRecord(
-            kind,
-            format_partition(a),
-            format_partition(b),
-            format_partition(c),
-            value,
-            self.engine_version,
-        )
-
-    def _write(self, record: CacheRecord):
         obj = {
-            "kind": record.kind,
-            "lambda": record.lam,
-            "mu": record.mu,
-            "nu": record.nu,
-            "value": str(record.value),
-            "engineVersion": record.engine_version,
+            "kind": kind,
+            "lambda": format_partition(a),
+            "mu": format_partition(b),
+            "nu": format_partition(c),
+            "value": str(value),
+            "engineVersion": ENGINE_VERSION,
         }
         line = json.dumps(obj, separators=(",", ":")) + "\n"
         try:
@@ -200,22 +178,6 @@ class CoefficientCache:
         except OSError as exc:
             raise StoreIOError(f"cannot append to cache {self.path}: {exc}") from exc
 
-    # -- record-level helpers ------------------------------------------------
-
-    def put_record(self, record: CacheRecord):
-        self.put(
-            record.kind,
-            parse_partition_text(record.lam),
-            parse_partition_text(record.mu),
-            parse_partition_text(record.nu),
-            record.value,
-        )
-
-    def get_record(self, kind: str, lam: str, mu: str, nu: str) -> CacheRecord | None:
-        key = (kind, *_canonical_args(*map(parse_partition_text, (lam, mu, nu))))
-        value = self._load().get(key)
-        return None if value is None else self._record(key, value)
-
     def __len__(self):
         return len(self._load())
 
@@ -224,16 +186,16 @@ class RecordingCache(CoefficientCache):
     """Cache view for scan workers: reads the shared file, buffers its writes.
 
     Workers never touch the file; the parent process drains each worker's
-    buffer and performs the single-writer appends itself.
+    buffer of (key, value) pairs and replays them with put(*key, value).
     """
 
-    def __init__(self, path: str, engine_version: str = ENGINE_VERSION):
-        super().__init__(path, engine_version)
-        self.buffer: list[CacheRecord] = []
+    def __init__(self, path: str):
+        super().__init__(path)
+        self.buffer: list[tuple] = []
 
-    def _write(self, record: CacheRecord):
-        self.buffer.append(record)
+    def _write(self, key, value: int):
+        self.buffer.append((key, value))
 
-    def drain(self) -> list[CacheRecord]:
+    def drain(self) -> list[tuple]:
         out, self.buffer = self.buffer, []
         return out

@@ -264,3 +264,23 @@ def beta_list_character(lam, cycles, memo=None):
     if memo is not None:
         memo[key] = total
     return total
+
+
+def class_sizes_bruteforce(n):
+    """{cycle type: number of permutations of range(n) with it}, by enumeration."""
+    counts = {}
+    for perm in permutations(range(n)):
+        seen = [False] * n
+        lengths = []
+        for start in range(n):
+            length = 0
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i]
+                length += 1
+            if length:
+                lengths.append(length)
+        cycle_type = tuple(sorted(lengths, reverse=True))
+        counts[cycle_type] = counts.get(cycle_type, 0) + 1
+    return counts

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from kroncave.characters import character, cycle_types
+from kroncave.characters import character, class_sizes
 from kroncave.closed_forms import ReachQuery, reach_count, reduced_hook, reduced_two_row
 from kroncave.coefficients import (
     VirtualStableRep,
@@ -292,12 +292,12 @@ def test_criterion_10_property_suites():
     with criterion(10, "exact property suites", 600):
         # character row orthogonality, n <= 8
         for n in range(9):
-            cts = cycle_types(n)
+            classes = tuple(zip(partitions_of(n), class_sizes(n)))
             for lam in partitions_of(n):
                 for mu in partitions_of(n):
                     total = sum(
-                        ct.class_size * character(lam, ct) * character(mu, ct)
-                        for ct in cts
+                        size * character(lam, rho) * character(mu, rho)
+                        for rho, size in classes
                     )
                     assert total == (math.factorial(n) if lam == mu else 0)
 

@@ -3,50 +3,83 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import kroncave
 from kroncave.characters import (
     CharacterTable,
-    CycleType,
     _mask,
     character,
     character_value,
-    cycle_types,
+    class_sizes,
     dimension,
 )
 from kroncave.coefficients import clear_caches
 from kroncave.errors import SizeMismatch
 from kroncave.partitions import conjugate, partitions_of, partitions_up_to, syt_count
 
-from oracles import beta_list_character, syt_count_bruteforce
+from oracles import beta_list_character, class_sizes_bruteforce, syt_count_bruteforce
+
+
+def _centralizer_order(rho):
+    """z_rho = prod k^m * m! over the parts k of rho with multiplicity m."""
+    return math.prod(k**m * math.factorial(m) for k, m in Counter(rho).items())
 
 
 class TestCycleType:
+    """The classes of S_n are partitions_of(n); class_sizes(n) follows that order."""
+
     def test_centralizer_times_class_size(self):
         for n in range(11):
-            for ct in cycle_types(n):
-                assert ct.centralizer_order * ct.class_size == math.factorial(n)
+            for rho, size in zip(partitions_of(n), class_sizes(n), strict=True):
+                assert _centralizer_order(rho) * size == math.factorial(n)
 
     def test_class_sizes_sum_to_group_order(self):
         for n in range(11):
-            assert sum(ct.class_size for ct in cycle_types(n)) == math.factorial(n)
+            assert sum(class_sizes(n)) == math.factorial(n)
 
     def test_enumeration_order(self):
-        assert [ct.parts for ct in cycle_types(3)] == [(3,), (2, 1), (1, 1, 1)]
+        assert partitions_of(3) == ((3,), (2, 1), (1, 1, 1))
+        assert class_sizes(3) == (2, 3, 1)
 
     def test_transposition(self):
-        ct = CycleType((2, 1, 1))
-        assert ct.class_size == 6  # transpositions in S_4
-        assert ct.sign() == -1
+        sizes = dict(zip(partitions_of(4), class_sizes(4)))
+        assert sizes[2, 1, 1] == 6  # transpositions in S_4
+        assert character((1, 1, 1, 1), (2, 1, 1)) == -1  # and they are odd
+
+    def test_matches_permutation_count(self):
+        for n in range(8):
+            assert dict(zip(partitions_of(n), class_sizes(n))) == class_sizes_bruteforce(n)
+
+    def test_divisibility_check_survives_optimize_flag(self):
+        code = (
+            "from kroncave import characters\n"
+            "from kroncave.errors import InvariantViolation\n"
+            "if __debug__:\n"
+            "    raise SystemExit('not running under -O')\n"
+            "real = characters.partitions_of\n"
+            "characters.partitions_of = lambda n: ((3,),) if n == 2 else real(n)\n"
+            "try:\n"
+            "    characters.class_sizes(2)\n"
+            "except InvariantViolation as exc:\n"
+            "    print('InvariantViolation:', exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kroncave.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("InvariantViolation: centralizer order 3 of (3,)")
 
 
 class TestCharacter:
     def test_trivial_representation(self):
         for n in range(1, 8):
-            for ct in cycle_types(n):
-                assert character((n,), ct) == 1
+            for rho in partitions_of(n):
+                assert character((n,), rho) == 1
 
     def test_sign_on_transposition(self):
         assert character((1, 1), (2,)) == -1
@@ -61,17 +94,18 @@ class TestCharacter:
     def test_conjugate_twists_by_sign(self):
         for n in range(9):
             for lam in partitions_of(n):
-                for ct in cycle_types(n):
-                    assert character(conjugate(lam), ct) == ct.sign() * character(lam, ct)
+                for rho in partitions_of(n):
+                    sign = (-1) ** (n - len(rho))
+                    assert character(conjugate(lam), rho) == sign * character(lam, rho)
 
     def test_orthogonality(self):
         for n in range(9):
-            cts = cycle_types(n)
+            classes = tuple(zip(partitions_of(n), class_sizes(n)))
             for lam in partitions_of(n):
                 for mu in partitions_of(n):
                     total = sum(
-                        ct.class_size * character(lam, ct) * character(mu, ct)
-                        for ct in cts
+                        size * character(lam, rho) * character(mu, rho)
+                        for rho, size in classes
                     )
                     assert total == (math.factorial(n) if lam == mu else 0)
 
@@ -86,8 +120,8 @@ class TestCharacter:
 
     def test_values_are_ints(self):
         for lam in partitions_of(6):
-            for ct in cycle_types(6):
-                assert isinstance(character(lam, ct), int)
+            for rho in partitions_of(6):
+                assert isinstance(character(lam, rho), int)
 
 
 class TestDimension:
@@ -141,8 +175,6 @@ class TestHitFirstLookup:
                 if sum(lam) != sum(rho):
                     with pytest.raises(SizeMismatch):
                         table.character(lam, rho)
-                    with pytest.raises(SizeMismatch):
-                        table.character(lam, CycleType(rho))
         # (1, 2) has a repeated bead; its mask would be the warm key of (2)
         with pytest.raises(ValueError, match="not a partition"):
             table.character((1, 2), (2,))

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import kroncave
 from kroncave import coefficients
-from kroncave.characters import DEFAULT_TABLE, CharacterTable, CycleType, cycle_types, dimension
+from kroncave.characters import DEFAULT_TABLE, CharacterTable, dimension
 from kroncave.coefficients import (
     VirtualRep,
     VirtualStableRep,
@@ -172,7 +172,7 @@ def _character_requests(monkeypatch, max_boxes):
     original = CharacterTable.character
 
     def counted(table, lam, rho):
-        requests[tuple(lam), rho.parts if type(rho) is CycleType else tuple(rho)] += 1
+        requests[tuple(lam), tuple(rho)] += 1
         return original(table, lam, rho)
 
     with monkeypatch.context() as patch:
@@ -240,7 +240,7 @@ class TestRowStore:
         """The guard above fails when each sum evaluates nu on every class again."""
 
         def every_class(support, weights, nu, n):
-            row = [DEFAULT_TABLE.character(nu, ct) for ct in cycle_types(n)]
+            row = [DEFAULT_TABLE.character(nu, rho) for rho in partitions_of(n)]
             total = sum(row[i] * w for i, w in zip(support, weights))
             return coefficients._multiplicity(total, nu, n)
 

@@ -9,7 +9,6 @@ from kroncave.coefficients import clear_caches, reduced_kronecker
 from kroncave.errors import PartitionParseError
 from kroncave.partitions import partitions_up_to
 from kroncave.store import (
-    CacheRecord,
     CoefficientCache,
     ENGINE_VERSION,
     RecordingCache,
@@ -59,11 +58,14 @@ def redkron_line(value, lam="2", mu="1", nu="1"):
 
 class TestCoefficientCache:
     def test_roundtrip(self, tmp_path):
-        cache = CoefficientCache(str(tmp_path / "c.jsonl"))
+        path = tmp_path / "c.jsonl"
+        cache = CoefficientCache(str(path))
         cache.put("kron", (2, 2), (2, 2), (2, 2), 1)
         assert cache.get("kron", (2, 2), (2, 2), (2, 2)) == 1
-        record = cache.get_record("kron", "2,2", "2,2", "2,2")
-        assert record == CacheRecord("kron", "2,2", "2,2", "2,2", 1, ENGINE_VERSION)
+        assert path.read_text(encoding="utf-8") == (
+            '{"kind":"kron","lambda":"2,2","mu":"2,2","nu":"2,2","value":"1",'
+            f'"engineVersion":"{ENGINE_VERSION}"}}\n'
+        )
 
     def test_miss_on_empty(self, tmp_path):
         cache = CoefficientCache(str(tmp_path / "c.jsonl"))
@@ -80,9 +82,11 @@ class TestCoefficientCache:
         assert cache.get("redkron", (2,), (3, 1), (1,)) == 5
 
     def test_stale_engine_version_is_a_miss(self, tmp_path):
-        path = str(tmp_path / "c.jsonl")
-        CoefficientCache(path, engine_version="0.0.1").put("lr", (1,), (1,), (2,), 1)
-        assert CoefficientCache(path).get("lr", (1,), (1,), (2,)) is None
+        path = tmp_path / "c.jsonl"
+        stale = json.loads(redkron_line("1"))
+        stale["engineVersion"] = "0.0.1"
+        path.write_text(json.dumps(stale) + "\n", encoding="utf-8")
+        assert CoefficientCache(str(path)).get("redkron", (2,), (1,), (1,)) is None
 
     def test_corrupt_lines_skipped_with_warning(self, tmp_path, caplog):
         path = tmp_path / "c.jsonl"
@@ -148,10 +152,11 @@ class TestRecordingCache:
         rec.put("redkron", (2,), (1,), (1,), 4)
         assert not path.exists()
         drained = rec.drain()
-        assert len(drained) == 1 and rec.drain() == []
-        # the parent replays the drained records into the real store
+        assert drained == [(("redkron", (1,), (2,), (1,)), 4)] and rec.drain() == []
+        # the parent replays the drained writes into the real store
         cache = CoefficientCache(str(path))
-        cache.put_record(drained[0])
+        for key, value in drained:
+            cache.put(*key, value)
         assert CoefficientCache(str(path)).get("redkron", (1,), (2,), (1,)) == 4
 
 
