@@ -22,4 +22,4 @@ print("\nreduced side: column pair (1^8),(1^8) against (3,3)")
 print(f"  closed form : {reduced_hook(8, 8, (3, 3))}")
 print(f"  character engine: {reduced_kronecker((1,) * 8, (1,) * 8, (3, 3))}")
 print("  (the doubled triple is nonzero; `kroncave verify paper --stretch`")
-print("   computes it from padded size 44, takes a few seconds)")
+print("   computes it from padded size 27, in about a second)")

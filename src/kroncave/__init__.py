@@ -12,7 +12,6 @@ from .characters import (
 )
 from .closed_forms import ReachQuery, reach_count, reduced_hook, reduced_two_row
 from .coefficients import (
-    DEFAULT_WINDOW,
     CompareResult,
     VirtualRep,
     VirtualStableRep,
@@ -24,7 +23,6 @@ from .coefficients import (
     lr_expand,
     reduced_kronecker,
     reduced_tensor_decompose,
-    stabilization_cap,
     stabilization_start,
     stable_ring_compare,
     stable_ring_multiply,
@@ -55,7 +53,6 @@ from .errors import (
     PadTooSmall,
     PartitionParseError,
     SizeMismatch,
-    StabilizationNotDetected,
     StoreIOError,
 )
 from .partitions import (

@@ -9,23 +9,23 @@ over those classes live in one store, filled only at the classes a sum asks
 for, so each character is looked up once per clear_caches(). A pair
 (lam, mu) keeps its support, the classes where chi_lam * chi_mu != 0, with
 class size * chi_lam * chi_mu on it. A single coefficient gathers nu's row on
-that support, so a sum at S_40 never pays for a whole row; a whole S_n tensor
+that support, so a sum at S_30 never pays for a whole row; a whole S_n tensor
 product takes one dense dot product per nu with complete rows.
 
 Littlewood-Richardson coefficients count skew tableaux by depth-first
 construction with lattice pruning; a whole product s_lam s_mu is one walk
 over all LR fillings, adding the labels of mu as horizontal strips (the walk
 of Buch's lrcalc). Reduced Kronecker coefficients are the stable values of
-padded Kronecker sequences, detected by a plateau protocol:
+padded Kronecker sequences, read at the bound of Briand, Orellana and Rosas
+(J. Algebra 2011): g(lam[d], mu[d], nu[d]) is constant for
 
-  start at d0 = max(|lam|+lam1, |mu|+mu1, |nu|+nu1, |lam|+|mu|+|nu|), step d
-  upward, and accept as soon as DEFAULT_WINDOW = 2 consecutive values agree.
-  Beyond the hard cap d0 + 2*(|lam|+|mu|+|nu|) + 2 the computation refuses to
-  answer (StabilizationNotDetected) rather than guess. The protocol has no
-  settings, so a stored value never depends on how it was computed.
+  d >= floor((|lam|+|mu|+|nu|+lam1+mu1+nu1)/2),
 
-Padded sequences are weakly increasing, which the engine also checks on every
-trace; a decrease is an implementation bug (InvariantViolation), never data.
+so the engine evaluates at d = max of that bound and the smallest padding
+sizes |lam|+lam1, |mu|+mu1, |nu|+nu1 (stabilization_start). It also evaluates
+at d+1 and raises InvariantViolation if the two values differ, which would
+mean a wrong bound or an arithmetic bug, never data. The protocol has no
+settings, so a stored value never depends on how it was computed.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from operator import mul
 from typing import Iterable, NamedTuple
 
 from .characters import DEFAULT_TABLE, _mask, class_sizes
-from .errors import InvariantViolation, SizeMismatch, StabilizationNotDetected
+from .errors import InvariantViolation, SizeMismatch
 from .partitions import (
     EMPTY,
     Partition,
@@ -45,8 +45,6 @@ from .partitions import (
     part,
     partitions_of,
 )
-
-DEFAULT_WINDOW = 2
 
 # nu -> character row of nu over the classes partitions_of(|nu|): a tuple once
 # complete, before that a list with None at the classes no sum has asked for yet.
@@ -336,16 +334,13 @@ def kostka(lam: Partition, mu: Partition) -> int:
 
 
 def stabilization_start(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """First padded size d of the stable range, by the Briand-Orellana-Rosas bound."""
     return max(
         sum(lam) + part(lam, 1),
         sum(mu) + part(mu, 1),
         sum(nu) + part(nu, 1),
-        sum(lam) + sum(mu) + sum(nu),
+        (sum(lam) + sum(mu) + sum(nu) + part(lam, 1) + part(mu, 1) + part(nu, 1)) // 2,
     )
-
-
-def stabilization_cap(lam: Partition, mu: Partition, nu: Partition) -> int:
-    return stabilization_start(lam, mu, nu) + 2 * (sum(lam) + sum(mu) + sum(nu)) + 2
 
 
 def kronecker_sequence(
@@ -362,8 +357,9 @@ def reduced_kronecker(lam: Partition, mu: Partition, nu: Partition, *, cache=Non
     """Stable value of the padded Kronecker sequence for this triple.
 
     Returns 0 immediately when the size triangle inequalities fail. Otherwise
-    runs the plateau protocol documented in the module docstring. A persistent
-    cache object (see kroncave.store) may be supplied.
+    evaluates at stabilization_start and checks the value one size later, as
+    documented in the module docstring. A persistent cache object (see
+    kroncave.store) may be supplied.
     """
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
     if not murnaghan_inequalities(lam, mu, nu):
@@ -380,24 +376,17 @@ def reduced_kronecker(lam: Partition, mu: Partition, nu: Partition, *, cache=Non
         if stored is not None:
             _REDUCED_MEMO[key] = stored
             return stored
-    d0 = stabilization_start(lam, mu, nu)
-    cap = stabilization_cap(lam, mu, nu)
-    streak = 0
-    prev = None
-    for d in range(d0, cap + 1):
-        value = kronecker(pad(lam, d), pad(mu, d), pad(nu, d))
-        if prev is not None and value < prev:
-            raise InvariantViolation(f"padded sequence decreased for {lam},{mu},{nu}")
-        streak = streak + 1 if value == prev else 1
-        prev = value
-        if streak >= DEFAULT_WINDOW:
-            _REDUCED_MEMO[key] = value
-            if cache is not None:
-                cache.put("redkron", pair[0], pair[1], nu, value)
-            return value
-    raise StabilizationNotDetected(
-        f"no plateau of length {DEFAULT_WINDOW} for {lam},{mu},{nu} up to d={cap}"
-    )
+    d = stabilization_start(lam, mu, nu)
+    value, next_value = kronecker_sequence(lam, mu, nu, (d, d + 1))
+    if next_value != value:
+        raise InvariantViolation(
+            f"padded sequence for {lam},{mu},{nu} moved past the stable bound: "
+            f"{value} at d={d}, {next_value} at d={d + 1}"
+        )
+    _REDUCED_MEMO[key] = value
+    if cache is not None:
+        cache.put("redkron", pair[0], pair[1], nu, value)
+    return value
 
 
 def reduced_tensor_decompose(lam: Partition, mu: Partition, *, cache=None) -> VirtualRep:

@@ -17,14 +17,6 @@ class SizeMismatch(KroncaveError, ValueError):
     """Partition sizes violate an operation's precondition."""
 
 
-class StabilizationNotDetected(KroncaveError, RuntimeError):
-    """A padded coefficient sequence did not plateau before the hard cap.
-
-    The protocol (window 2, cap stabilization_cap) is fixed, so this signals
-    a triple the protocol cannot settle; the value is never silently guessed.
-    """
-
-
 class InvariantViolation(KroncaveError):
     """An internal consistency check failed: an engine bug, never bad input.
 

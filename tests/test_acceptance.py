@@ -165,8 +165,8 @@ def stable_product_oracle(factors):
 
     N = sum of |p| + p_1 over the factors: the Briand-Orellana-Rosas bound
     |lam| + |mu| + lam_1 + mu_1 (J. Algebra 2011), applied factor by factor.
-    The expansion at N + 1 must read back the same. No reduced coefficient,
-    plateau protocol or cache is involved.
+    The expansion at N + 1 must read back the same. No reduced coefficient
+    or cache is involved.
     """
     n = sum(sum(p) + part(p, 1) for p in factors)
     product = padded_product(factors, n)
@@ -212,7 +212,7 @@ def test_criterion_7_sort_and_chain_scans():
     The oracle expands the padded product of the factors in S_N with
     tensor_decompose at a size N past the stabilization bound and reads the
     stable coefficients back; the scans compute the same inequality through
-    reduced_tensor_decompose and the plateau protocol.
+    reduced_tensor_decompose and reduced_kronecker.
     """
     with criterion(7, "sorted-split and interleave scans at 6 boxes", 1800):
         sort_report = scan("sort", 6)

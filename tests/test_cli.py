@@ -197,20 +197,14 @@ class TestCheckAndScan:
 
     def test_verify_paper(self, capsys, tmp_path):
         out_path = tmp_path / "verify.json"
-        code, out, _ = run(
-            capsys, "verify", "paper",
-            "--cache", str(tmp_path / "c.jsonl"), "--out", str(out_path),
-        )
+        code, out, _ = run(capsys, "verify", "paper", "--out", str(out_path))
         assert code == 0
         assert out.count("[PASS]") == 7 and "[FAIL]" not in out
         data = json.loads(out_path.read_text())
         assert data["passed"] is True and len(data["results"]) == 7
 
-    def test_verify_paper_stretch(self, capsys, tmp_path):
-        code, out, _ = run(
-            capsys, "verify", "paper", "--stretch",
-            "--cache", str(tmp_path / "c.jsonl"),
-        )
+    def test_verify_paper_stretch(self, capsys):
+        code, out, _ = run(capsys, "verify", "paper", "--stretch")
         assert code == 0
         assert out.count("[PASS]") == 8
         assert "scale 2 gives 80" in out
@@ -236,6 +230,22 @@ class TestUntrustedCache:
         )
         assert code == 0 and out.strip() == "1"
 
+    def test_verify_paper_never_reads_the_cache(self, capsys, tmp_path, monkeypatch):
+        """A well-formed wrong golden value in the default cache cannot fail verify."""
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(
+            {"kind": "redkron", "lambda": "4,2,2", "mu": "6,4,2", "nu": "8,6,4,2",
+             "value": "5", "engineVersion": ENGINE_VERSION}
+        ) + "\n")
+        before = path.read_text()
+        monkeypatch.setenv("KRONCAVE_CACHE", str(path))
+        clear_caches()
+        code, out, _ = run(capsys, "verify", "paper")
+        assert code == 0 and "[FAIL]" not in out
+        assert path.read_text() == before
+        code, _, _ = run(capsys, "verify", "paper", "--cache", str(path))
+        assert code == 2
+
     def test_redtensor_ignores_negative_value(self, capsys, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(redkron_line("-4") + "\n")
@@ -246,7 +256,7 @@ class TestUntrustedCache:
 
 
 class TestFixedProtocol:
-    """The plateau protocol has no settings, so a cache cannot change an exit code."""
+    """The reduced protocol has no settings, so a cache cannot change an exit code."""
 
     @pytest.mark.parametrize(
         "argv",

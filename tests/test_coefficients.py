@@ -23,15 +23,21 @@ from kroncave.coefficients import (
     lr_expand,
     reduced_kronecker,
     reduced_tensor_decompose,
-    stabilization_cap,
     stabilization_start,
     stable_ring_compare,
     stable_ring_multiply,
     tensor_decompose,
 )
 from kroncave.conjectures import scan
-from kroncave.errors import PadTooSmall, SizeMismatch, StabilizationNotDetected
-from kroncave.partitions import conjugate, partitions_of, partitions_up_to, syt_count
+from kroncave.errors import PadTooSmall, SizeMismatch
+from kroncave.partitions import (
+    conjugate,
+    murnaghan_inequalities,
+    part,
+    partitions_of,
+    partitions_up_to,
+    syt_count,
+)
 
 from oracles import (
     beta_list_character,
@@ -234,7 +240,7 @@ class TestRowStore:
         requests = _character_requests(monkeypatch, 6)
         assert [key for key, calls in requests.items() if calls > 1] == []
         # only the characters the sums need, with their recursion: no whole rows of nu
-        assert len(DEFAULT_TABLE) == 7502
+        assert len(DEFAULT_TABLE) == 7829
 
     def test_count_guard_sees_repeated_rows(self, monkeypatch):
         """The guard above fails when each sum evaluates nu on every class again."""
@@ -383,12 +389,56 @@ class TestReducedKronecker:
     def test_murnaghan_short_circuit(self):
         assert reduced_kronecker((2, 1), (1,), (1,)) == 0
 
-    def test_stabilization_not_detected_on_tight_cap(self, monkeypatch):
-        clear_caches()  # a memoized value would skip the protocol
-        d0 = stabilization_start((1,), (1,), (1,))
-        monkeypatch.setattr(coefficients, "stabilization_cap", lambda *triple: d0)
-        with pytest.raises(StabilizationNotDetected):
-            reduced_kronecker((1,), (1,), (1,))
+    def test_constant_from_start(self):
+        """Each padded sequence is flat from stabilization_start through
+        max(|p| + p1 over the shapes, |lam| + |mu| + |nu|) + 2."""
+        shapes = list(partitions_up_to(4))
+        checked = 0
+        for lam, mu in itertools.combinations_with_replacement(shapes, 2):
+            for nu in shapes:
+                if not murnaghan_inequalities(lam, mu, nu):
+                    continue
+                triple = (lam, mu, nu)
+                end = max(sum(map(sum, triple)), *(sum(p) + part(p, 1) for p in triple))
+                start = stabilization_start(lam, mu, nu)
+                values = kronecker_sequence(lam, mu, nu, range(start, end + 3))
+                assert values == [reduced_kronecker(lam, mu, nu)] * len(values)
+                checked += 1
+        assert checked == 745
+
+    def test_start_values(self):
+        assert stabilization_start((1,), (1,), (1,)) == 3
+        # one size earlier the sequence has not reached its stable value 1
+        assert kronecker_sequence((1,), (1,), (1,), [2]) == [0]
+        assert stabilization_start((6, 4, 2), (4, 2, 2), (8, 6, 4, 2)) == 29
+        assert stabilization_start((2,) * 8, (2,) * 8, (6, 6)) == 27
+
+    def test_unstable_next_size_raises_under_optimize_flag(self):
+        """A value that moves at d+1 is an InvariantViolation, also under -O."""
+        code = (
+            "from kroncave import coefficients\n"
+            "from kroncave.errors import InvariantViolation\n"
+            "if __debug__:\n"
+            "    raise SystemExit('not running under -O')\n"
+            "original = coefficients.kronecker\n"
+            "def drifting(lam, mu, nu):\n"
+            "    return original(lam, mu, nu) + (sum(lam) == 4)\n"
+            "coefficients.kronecker = drifting\n"
+            "try:\n"
+            "    coefficients.reduced_kronecker((1,), (1,), (1,))\n"
+            "except InvariantViolation as exc:\n"
+            "    print('InvariantViolation:', exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kroncave.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "InvariantViolation: padded sequence for (1,),(1,),(1,) moved past the "
+            "stable bound: 1 at d=3, 2 at d=4",
+        ]
 
     def test_matches_littlewood_formula(self):
         small, targets = list(partitions_up_to(5)), list(partitions_up_to(6))
@@ -412,9 +462,6 @@ class TestReducedKronecker:
     )
     def test_matches_littlewood_formula_on_larger_triples(self, lam, mu, nu):
         assert reduced_kronecker(lam, mu, nu) == littlewood_reduced_kronecker(lam, mu, nu)
-
-    def test_cap_formula(self):
-        assert stabilization_cap((1,), (1,), (1,)) == 3 + 2 * 3 + 2
 
     def test_symmetric_in_all_arguments(self):
         shapes = list(partitions_up_to(4))
