@@ -120,14 +120,14 @@ class CharacterTable:
 
     def character(self, lam: Partition, rho) -> int:
         cycles = tuple(rho)
+        mask = _mask(lam)
         # Every memo key has |shape| == |cycles|, so a hit needs no size check.
-        try:
-            return self._memo[_mask(lam), cycles]
-        except KeyError:
-            pass
+        hit = self._memo.get((mask, cycles))
+        if hit is not None:
+            return hit
         if sum(lam) != sum(cycles):
             raise SizeMismatch(f"|lam|={sum(lam)} but cycle type has size {sum(cycles)}")
-        return character_value(lam, cycles, self._memo)
+        return _chi(mask, cycles, self._memo)
 
     def dimension(self, lam: Partition) -> int:
         """Character on the identity class, checked against the hook count."""

@@ -31,6 +31,7 @@ settings, so a stored value never depends on how it was computed.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from operator import mul
 from typing import Iterable, NamedTuple
 
@@ -65,6 +66,8 @@ def clear_caches() -> None:
     _PAIR_WEIGHTS.clear()
     _REDUCED_MEMO.clear()
     _STABLE_PRODUCTS.clear()
+    _tensor_square.cache_clear()
+    _lr_square.cache_clear()
     DEFAULT_TABLE.clear()
     _mask.cache_clear()
     class_sizes.cache_clear()
@@ -222,6 +225,14 @@ def tensor_decompose(lam: Partition, mu: Partition) -> VirtualRep:
     return VirtualRep(coeffs, n)
 
 
+@lru_cache(maxsize=None)
+def _tensor_square(p: Partition) -> dict[Partition, int]:
+    """Coefficient dict of p (x) p, expanded once per clear_caches(): many
+    pairs of a fixed-size scan share one midpoint. Callers wrap it in a fresh
+    VirtualRep, so the cached dict is never changed."""
+    return tensor_decompose(p, p).coeffs
+
+
 def _contains(outer: Partition, inner: Partition) -> bool:
     return len(inner) <= len(outer) and all(
         inner[i] <= outer[i] for i in range(len(inner))
@@ -315,6 +326,12 @@ def lr_expand(lam: Partition, mu: Partition) -> dict[Partition, int]:
 
     add_label(0, lam + (0,) * len(mu), [sum(mu)] * height)
     return out
+
+
+@lru_cache(maxsize=None)
+def _lr_square(p: Partition) -> dict[Partition, int]:
+    """lr_expand(p, p), expanded once per clear_caches(), as _tensor_square."""
+    return lr_expand(p, p)
 
 
 def kostka(lam: Partition, mu: Partition) -> int:

@@ -20,6 +20,8 @@ from typing import Iterator, NamedTuple, Sequence
 from .closed_forms import reduced_hook, reduced_two_row
 from .coefficients import (
     VirtualRep,
+    _lr_square,
+    _tensor_square,
     kronecker,
     lr_coefficient,
     lr_expand,
@@ -129,7 +131,7 @@ def check_midpoint_kronecker(lam: Partition, mu: Partition) -> ViolationReport:
     if sum(mu) != n:
         raise SizeMismatch(f"sizes differ: {n} vs {sum(mu)}")
     mid = midpoint(lam, mu, "exact")
-    bigger = tensor_decompose(mid, mid)
+    bigger = VirtualRep(_tensor_square(mid), n)
     smaller = tensor_decompose(lam, mu)
     lam_text, mu_text = format_partition(lam), format_partition(mu)
     return ViolationReport(
@@ -234,7 +236,7 @@ def check_schur_log_concavity(lam: Partition, mu: Partition) -> ViolationReport:
     mid = midpoint(lam, mu, "exact")
     total = sum(lam) + sum(mu)
     lam_text, mu_text = format_partition(lam), format_partition(mu)
-    bigger = VirtualRep(lr_expand(mid, mid))
+    bigger = VirtualRep(_lr_square(mid))
     smaller = VirtualRep(lr_expand(lam, mu))
     return ViolationReport(
         subject=f"schur-lr lambda={lam_text} mu={mu_text}",

@@ -71,6 +71,16 @@ def _canonical_args(lam: Partition, mu: Partition, nu: Partition):
     return a, b, tuple(nu)
 
 
+def _parse_field(text, parsed: dict) -> Partition:
+    """A record's partition field, parsed once per distinct text in one load."""
+    if type(text) is not str:
+        raise ValueError(f"partition field {text!r} is not a string")
+    p = parsed.get(text)
+    if p is None:
+        p = parsed[text] = parse_partition_text(text)
+    return p
+
+
 class CoefficientCache:
     """Append-only JSONL store keyed by (kind, lam, mu, nu).
 
@@ -91,13 +101,14 @@ class CoefficientCache:
         if self._index is not None:
             return self._index
         index: dict = {}
+        parsed: dict = {}  # partition text -> partition, for this load only
         try:
             with open(self.path, "r", encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, 1):
                     line = line.strip()
                     if not line:
                         continue
-                    record = self._parse_line(line, lineno)
+                    record = self._parse_line(line, lineno, parsed)
                     if record is None:
                         continue
                     key, value = record
@@ -118,15 +129,15 @@ class CoefficientCache:
         self._index = index
         return index
 
-    def _parse_line(self, line: str, lineno: int):
+    def _parse_line(self, line: str, lineno: int, parsed: dict):
         try:
             obj = json.loads(line)
             kind = obj["kind"]
             if kind not in CACHE_KINDS:
                 raise ValueError(f"unknown kind {kind!r}")
-            lam = parse_partition_text(obj["lambda"])
-            mu = parse_partition_text(obj["mu"])
-            nu = parse_partition_text(obj["nu"])
+            lam = _parse_field(obj["lambda"], parsed)
+            mu = _parse_field(obj["mu"], parsed)
+            nu = _parse_field(obj["nu"], parsed)
             text = obj["value"]
             if not (isinstance(text, str) and text.isascii() and text.isdigit()):
                 raise ValueError(f"value {text!r} is not a non-negative decimal string")

@@ -230,6 +230,17 @@ class TestUntrustedCache:
         )
         assert code == 0 and out.strip() == "1"
 
+    def test_redkron_skips_non_string_partition_field(self, capsys, tmp_path):
+        path = tmp_path / "c.jsonl"
+        line = json.loads(redkron_line("1"))
+        line["lambda"] = 5
+        path.write_text(json.dumps(line) + "\n")
+        clear_caches()
+        code, out, _ = run(
+            capsys, "redkron", "--lambda", "1", "--mu", "1", "--nu", "1", "--cache", str(path)
+        )
+        assert code == 0 and out.strip() == "1"
+
     def test_verify_paper_never_reads_the_cache(self, capsys, tmp_path, monkeypatch):
         """A well-formed wrong golden value in the default cache cannot fail verify."""
         path = tmp_path / "c.jsonl"

@@ -1,8 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
-from kroncave import conjectures
+from kroncave import coefficients, conjectures
 from kroncave.coefficients import clear_caches, kronecker, reduced_kronecker
 from kroncave.conjectures import (
     EXPECTED_SQUARE_DIFFERENCE_S8,
@@ -21,6 +22,7 @@ from kroncave.conjectures import (
 )
 from kroncave.errors import NotIntegral, SizeMismatch
 from kroncave.partitions import (
+    midpoint,
     murnaghan_inequalities,
     pad,
     partitions_of,
@@ -291,6 +293,45 @@ class TestScan:
             scan("midpoint_reduced", 6, jobs=jobs, cache=CoefficientCache(str(path)))
             lines.append(sorted(path.read_text(encoding="utf-8").splitlines()))
         assert lines[0] and lines[0] == lines[1]
+
+    @pytest.mark.parametrize(
+        "name, max_boxes, expand",
+        [("midpoint_kronecker", 20, "tensor_decompose"), ("schur_lr", 12, "lr_expand")],
+    )
+    def test_each_midpoint_square_is_expanded_once(self, monkeypatch, name, max_boxes, expand):
+        """A scan expands every pair's product once and each distinct midpoint
+        square once, and reports the same bytes as pairs checked on fresh memos."""
+        original = getattr(coefficients, expand)
+        calls = Counter()
+
+        def counted(lam, mu):
+            calls[lam, mu] += 1
+            return original(lam, mu)
+
+        for module in (coefficients, conjectures):
+            monkeypatch.setattr(module, expand, counted)
+        payloads = list(conjectures._pairs_with_total(max_boxes, name == "midpoint_kronecker"))
+        checked, violations = [], []
+        for payload in payloads:
+            clear_caches()
+            try:
+                violations += conjectures.run_check(name, payload).violations
+            except (NotIntegral, SizeMismatch):
+                continue
+            checked.append(payload)
+        expected = ViolationReport(
+            f"scan:{name}:max_boxes={max_boxes}",
+            len(checked),
+            len(payloads) - len(checked),
+            violations,
+        )
+        clear_caches()
+        calls.clear()
+        report = scan(name.replace("_", "-"), max_boxes)
+        assert report.canonical_json() == expected.canonical_json()
+        squares = {midpoint(lam, mu) for lam, mu in checked}
+        assert len(squares) < len(checked)
+        assert calls == Counter(checked) + Counter((m, m) for m in squares)
 
     def test_report_json_shape(self):
         report = scan("sort", 4)

@@ -102,6 +102,23 @@ class TestCoefficientCache:
             assert cache.get("redkron", (1,), (1,), (2,)) is None
         assert sum("skipping corrupt cache line" in r.message for r in caplog.records) == 5
 
+    def test_non_string_partition_fields_are_corrupt_lines(self, tmp_path, caplog):
+        path = tmp_path / "c.jsonl"
+        bad = [
+            redkron_line("1", **{field: wrong})
+            for field in ("lam", "mu", "nu")
+            for wrong in (5, True, ["1"])
+        ]
+        lines = [redkron_line("3"), *bad, redkron_line("2", lam="3", mu="2")]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            cache = CoefficientCache(str(path))
+            assert cache.get("redkron", (2,), (1,), (1,)) == 3
+            assert cache.get("redkron", (3,), (2,), (1,)) == 2
+            assert len(cache) == 2
+        skipped = [r.message for r in caplog.records if "skipping corrupt cache line" in r.message]
+        assert [m.split(": ")[0] for m in skipped] == [f"{path}:{i}" for i in range(2, 11)]
+
     def test_conflicting_records_are_a_miss(self, tmp_path, caplog):
         path = tmp_path / "c.jsonl"
         lines = [redkron_line("1"), redkron_line("5"), redkron_line("1")]
