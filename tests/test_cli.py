@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -178,6 +180,28 @@ class TestCheckAndScan:
             "--cache", str(tmp_path / "c.jsonl"),
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            (["midpoint-reduced", "--lambda", "3,1", "--mu", "1,1"], 0,
+             "1e90f5fc7bd2cc754ec962f6f044ec6cd78e08761a57b2f9b9002e8a79fd41bc"),
+            (["midpoint-kronecker", "--lambda", "4,4", "--mu", "2,2,2,2"], 1,
+             "3048078dc5c2aafc1dee3e1d11ae24c40bd11b4646ed93c0ca806a5f7269ca10"),
+            (["sort", "--lambda", "1,1", "--mu", "2"], 1,
+             "d5d25cbafd544f3f1e6a6b6fceea89f4f89ed660fec2bd3bff794b40fecb4b2f"),
+            (["chain", "--part", "1", "--part", "1,1", "--part", "2"], 1,
+             "edad163b2132c478e10003746ca40b0da81042e4bec602ef99ba75bddef955ff"),
+            (["schur-lr", "--lambda", "3,1", "--mu", "1,1"], 0,
+             "ff387a6de84e95bf4101fa9a1e6945e5b0c86c99f6551f1b680b9ba4e1d9910c"),
+        ],
+    )
+    def test_check_output_bytes(self, capsys, tmp_path, argv, code, digest):
+        """The printed report of one check per scan name, timing removed, is pinned."""
+        got, out, _ = run(capsys, "check", *argv, "--cache", str(tmp_path / "c.jsonl"))
+        out = re.sub(r',\n  "elapsedMillis": \d+', "", out)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_scan_writes_report_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -341,6 +342,25 @@ class TestScan:
             assert set(v) == {"lambda", "mu", "nu", "lhs", "rhs"}
         canonical = json.loads(report.canonical_json())
         assert "elapsedMillis" not in canonical
+
+
+class TestPinnedReports:
+    """Canonical scan reports are pinned byte for byte; any refactor of the
+    scan machinery must leave every one of them unchanged."""
+
+    @pytest.mark.parametrize(
+        "name, max_boxes, digest",
+        [
+            ("midpoint-reduced", 8, "6b6a67fa9ba71358063bbe76680d1f35df5878f3d3e4b2a59790f533df2dc0f9"),
+            ("midpoint-kronecker", 16, "c0ad4734c4cae2e02da163fb8e9d33c38b79de2501189d57b7063a51f217ac53"),
+            ("sort", 6, "d954b95c9cff7cd458fd604df6404fe099f869864134ea0cd49a281a3f5c01d7"),
+            ("chain", 6, "a54bf8dd2b1f5d8331c0b2c835506a3a977499b0c1cb1a334b2d76dff4bd0f17"),
+            ("schur-lr", 10, "c5a265ff169868c03224436500108af7310e90aa5afc72758ed7ed45af5b5ff6"),
+        ],
+    )
+    def test_scan_report_bytes(self, name, max_boxes, digest):
+        report = scan(name, max_boxes).canonical_json()
+        assert hashlib.sha256(report.encode()).hexdigest() == digest
 
 
 class TestGoldenSuite:
