@@ -23,7 +23,7 @@ from .coefficients import (
     tensor_decompose,
 )
 from .conjectures import (
-    SCAN_CONJECTURES,
+    SCANS,
     check_dim_log_concavity,
     check_saturation,
     run_check,
@@ -118,7 +118,7 @@ def _cmd_closed_form(args) -> int:
 
 def _cmd_check(args) -> int:
     payload = args.part if args.conjecture == "chain" else (args.lam, args.mu)
-    report = run_check(args.conjecture.replace("-", "_"), payload, cache=_cache_for(args))
+    report = run_check(args.conjecture, payload, cache=_cache_for(args))
     return _report_exit(report, args.out)
 
 
@@ -239,24 +239,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run one conjecture check on a single input")
     checks = p.add_subparsers(dest="conjecture", required=True)
-    for name in ("midpoint-reduced", "midpoint-kronecker", "sort", "schur-lr"):
-        c = checks.add_parser(name)
-        _partition_flag(c, "--lambda", "lam")
-        _partition_flag(c, "--mu", "mu")
+    for name in SCANS:
+        c = checks.add_parser(name.replace("_", "-"))
+        if name == "chain":
+            c.add_argument("--part", action="append", type=parse_partition_text, required=True,
+                           help="repeatable partition text")
+        else:
+            _partition_flag(c, "--lambda", "lam")
+            _partition_flag(c, "--mu", "mu")
         c.add_argument("--cache", default=None)
         c.add_argument("--out", default=None)
         c.set_defaults(handler=_cmd_check)
-    c = checks.add_parser("chain")
-    c.add_argument(
-        "--part",
-        action="append",
-        type=parse_partition_text,
-        required=True,
-        help="repeatable partition text",
-    )
-    c.add_argument("--cache", default=None)
-    c.add_argument("--out", default=None)
-    c.set_defaults(handler=_cmd_check)
     c = checks.add_parser("dim-log-concavity")
     _partition_flag(c, "--lambda", "lam")
     _partition_flag(c, "--mu", "mu")
@@ -274,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(handler=_cmd_saturation)
 
     p = sub.add_parser("scan", help="scan a conjecture over all pairs within a box budget")
-    p.add_argument("conjecture", choices=[n.replace("_", "-") for n in SCAN_CONJECTURES])
+    p.add_argument("conjecture", choices=[n.replace("_", "-") for n in SCANS])
     p.add_argument("--max-boxes", dest="max_boxes", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--n", type=int, default=3, help="tuple length for chain scans")

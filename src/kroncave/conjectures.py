@@ -15,7 +15,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterator, NamedTuple, Sequence
+from itertools import zip_longest
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .closed_forms import reduced_hook, reduced_two_row
 from .coefficients import (
@@ -31,7 +32,7 @@ from .coefficients import (
     stable_ring_multiply,
     tensor_decompose,
 )
-from .errors import NotIntegral, SizeMismatch
+from .errors import SizeMismatch
 from .partitions import (
     Partition,
     canonical_key,
@@ -96,32 +97,34 @@ def _elapsed_ms(start: float) -> int:
     return int((time.monotonic() - start) * 1000)
 
 
-def _compare_violations(lam_text, mu_text, bigger: VirtualRep, smaller: VirtualRep):
+def _dominance_report(subject, start, lam_text, mu_text, bigger, smaller, pairs_scanned=1):
+    """Report every target at which the conjectured-larger side falls below the other."""
     cmp = stable_ring_compare(bigger, smaller)
-    return [
-        Violation(lam_text, mu_text, format_partition(nu), bigger[nu], smaller[nu])
-        for nu in sorted(cmp.negative, key=canonical_key)
-    ]
-
-
-def _dominance_report(subject, start, lam, mu, big_pair, cache) -> ViolationReport:
-    """Does the stable product of big_pair dominate that of (lam, mu)?"""
-    bigger = reduced_tensor_decompose(*big_pair, cache=cache)
-    smaller = reduced_tensor_decompose(lam, mu, cache=cache)
-    lam_text, mu_text = format_partition(lam), format_partition(mu)
     return ViolationReport(
-        subject=f"{subject} lambda={lam_text} mu={mu_text}",
-        pairs_scanned=1,
-        violations=_compare_violations(lam_text, mu_text, bigger, smaller),
+        subject=subject,
+        pairs_scanned=pairs_scanned,
+        violations=[
+            Violation(lam_text, mu_text, format_partition(nu), bigger[nu], smaller[nu])
+            for nu in sorted(cmp.negative, key=canonical_key)
+        ],
         elapsed_ms=_elapsed_ms(start),
     )
+
+
+def _pair_report(name, start, lam, mu, bigger, smaller, pairs_scanned=1) -> ViolationReport:
+    """The report of a pair check, with the pair's texts in its subject."""
+    lam_text, mu_text = format_partition(lam), format_partition(mu)
+    subject = f"{name} lambda={lam_text} mu={mu_text}"
+    return _dominance_report(subject, start, lam_text, mu_text, bigger, smaller, pairs_scanned)
 
 
 def check_midpoint_reduced(lam: Partition, mu: Partition, *, cache=None) -> ViolationReport:
     """Does the squared midpoint class dominate the stable product of the pair?"""
     start = time.monotonic()
     mid = midpoint(lam, mu, "exact")  # NotIntegral propagates to the caller
-    return _dominance_report("midpoint-reduced", start, lam, mu, (mid, mid), cache)
+    bigger = reduced_tensor_decompose(mid, mid, cache=cache)
+    smaller = reduced_tensor_decompose(lam, mu, cache=cache)
+    return _pair_report("midpoint-reduced", start, lam, mu, bigger, smaller)
 
 
 def check_midpoint_kronecker(lam: Partition, mu: Partition) -> ViolationReport:
@@ -133,13 +136,7 @@ def check_midpoint_kronecker(lam: Partition, mu: Partition) -> ViolationReport:
     mid = midpoint(lam, mu, "exact")
     bigger = VirtualRep(_tensor_square(mid), n)
     smaller = tensor_decompose(lam, mu)
-    lam_text, mu_text = format_partition(lam), format_partition(mu)
-    return ViolationReport(
-        subject=f"midpoint-kronecker lambda={lam_text} mu={mu_text}",
-        pairs_scanned=1,
-        violations=_compare_violations(lam_text, mu_text, bigger, smaller),
-        elapsed_ms=_elapsed_ms(start),
-    )
+    return _pair_report("midpoint-kronecker", start, lam, mu, bigger, smaller)
 
 
 def check_sort_conjecture(lam: Partition, mu: Partition, *, cache=None) -> ViolationReport:
@@ -150,7 +147,9 @@ def check_sort_conjecture(lam: Partition, mu: Partition, *, cache=None) -> Viola
     vanishes at target (1) by the size triangle inequality.
     """
     start = time.monotonic()
-    return _dominance_report("sort", start, lam, mu, sort_split(lam, mu), cache)
+    bigger = reduced_tensor_decompose(*sort_split(lam, mu), cache=cache)
+    smaller = reduced_tensor_decompose(lam, mu, cache=cache)
+    return _pair_report("sort", start, lam, mu, bigger, smaller)
 
 
 def check_chain_conjecture(parts: Sequence[Partition], *, cache=None) -> ViolationReport:
@@ -183,12 +182,8 @@ def check_chain_conjecture(parts: Sequence[Partition], *, cache=None) -> Violati
     smaller = left_product(list(parts))
     inputs_text = ";".join(format_partition(p) for p in parts)
     splits_text = ";".join(format_partition(p) for p in splits)
-    return ViolationReport(
-        subject=f"chain n={n} parts={inputs_text}",
-        pairs_scanned=1,
-        violations=_compare_violations(inputs_text, splits_text, bigger, smaller),
-        elapsed_ms=_elapsed_ms(start),
-    )
+    subject = f"chain n={n} parts={inputs_text}"
+    return _dominance_report(subject, start, inputs_text, splits_text, bigger, smaller)
 
 
 def check_saturation(
@@ -234,16 +229,10 @@ def check_schur_log_concavity(lam: Partition, mu: Partition) -> ViolationReport:
     """Midpoint-squared LR coefficients vs the pair's, over all same-size targets."""
     start = time.monotonic()
     mid = midpoint(lam, mu, "exact")
-    total = sum(lam) + sum(mu)
-    lam_text, mu_text = format_partition(lam), format_partition(mu)
     bigger = VirtualRep(_lr_square(mid))
     smaller = VirtualRep(lr_expand(lam, mu))
-    return ViolationReport(
-        subject=f"schur-lr lambda={lam_text} mu={mu_text}",
-        pairs_scanned=len(partitions_of(total)),
-        violations=_compare_violations(lam_text, mu_text, bigger, smaller),
-        elapsed_ms=_elapsed_ms(start),
-    )
+    targets = len(partitions_of(sum(lam) + sum(mu)))
+    return _pair_report("schur-lr", start, lam, mu, bigger, smaller, targets)
 
 
 def check_murnaghan_littlewood(budget: int, *, cache=None) -> ViolationReport:
@@ -300,6 +289,8 @@ def _pairs_with_total(max_boxes: int, equal_sizes: bool = False) -> Iterator[tup
 
 def _multisets_with_total(max_boxes: int, n: int) -> Iterator[tuple]:
     """Multisets of n partitions with total size <= max_boxes, canonical order."""
+    if n < 1:
+        raise ValueError("need at least one partition")
     pool = list(partitions_up_to(max_boxes))  # size-major ascending
 
     def rec(start: int, remaining: int, chosen: tuple):
@@ -315,7 +306,42 @@ def _multisets_with_total(max_boxes: int, n: int) -> Iterator[tuple]:
     yield from rec(0, max_boxes, ())
 
 
-SCAN_CONJECTURES = ("midpoint_reduced", "midpoint_kronecker", "sort", "chain", "schur_lr")
+def _pairs(max_boxes: int, chain_n: int) -> Iterator[tuple]:
+    return _pairs_with_total(max_boxes)
+
+
+def _equal_size_pairs(max_boxes: int, chain_n: int) -> Iterator[tuple]:
+    return _pairs_with_total(max_boxes, equal_sizes=True)
+
+
+def _has_exact_midpoint(lam: Partition, mu: Partition) -> bool:
+    """Is every componentwise sum even, with the shorter partition zero-padded?"""
+    return all((a + b) % 2 == 0 for a, b in zip_longest(lam, mu, fillvalue=0))
+
+
+class ScanRow(NamedTuple):
+    payloads: Callable[[int, int], Iterable]  # (max_boxes, chain_n) -> payloads
+    exact_midpoint: bool  # dispatch only pairs with an exact midpoint
+    check: Callable[..., ViolationReport]  # (payload, cache) -> report
+
+
+# Each inequality is one row. The checks are looked up by their global names
+# at call time, so rebinding a module global reaches every scan.
+SCANS = {
+    "midpoint_reduced": ScanRow(
+        _pairs, True, lambda pair, cache: check_midpoint_reduced(*pair, cache=cache)
+    ),
+    "midpoint_kronecker": ScanRow(
+        _equal_size_pairs, True, lambda pair, cache: check_midpoint_kronecker(*pair)
+    ),
+    "sort": ScanRow(_pairs, False, lambda pair, cache: check_sort_conjecture(*pair, cache=cache)),
+    "chain": ScanRow(
+        _multisets_with_total,
+        False,
+        lambda parts, cache: check_chain_conjecture(parts, cache=cache),
+    ),
+    "schur_lr": ScanRow(_pairs, True, lambda pair, cache: check_schur_log_concavity(*pair)),
+}
 
 _WORKER_CACHE = None
 
@@ -325,31 +351,26 @@ def _worker_init(cache) -> None:
     _WORKER_CACHE = cache
 
 
+def _scan_row(conjecture: str) -> ScanRow:
+    """The SCANS row of a name spelled with '-' or '_'."""
+    row = SCANS.get(conjecture.replace("-", "_"))
+    if row is None:
+        raise ValueError(f"unknown conjecture {conjecture!r}")
+    return row
+
+
 def run_check(name: str, payload, *, cache=None) -> ViolationReport:
-    """Run the per-pair check of one of SCAN_CONJECTURES on one payload.
+    """Run the check of one SCANS row on one payload.
 
     The payload is a (lam, mu) pair, or the list of parts for "chain".
     """
-    if name == "midpoint_reduced":
-        return check_midpoint_reduced(*payload, cache=cache)
-    if name == "midpoint_kronecker":
-        return check_midpoint_kronecker(*payload)
-    if name == "sort":
-        return check_sort_conjecture(*payload, cache=cache)
-    if name == "chain":
-        return check_chain_conjecture(payload, cache=cache)
-    if name == "schur_lr":
-        return check_schur_log_concavity(*payload)
-    raise ValueError(f"unknown conjecture {name!r}")
+    return _scan_row(name).check(payload, cache)
 
 
 def _scan_task(task, cache):
-    """(violations, or None when skipped; cache records buffered for the parent)."""
+    """(violations, cache records buffered for the parent)."""
     name, payload = task
-    try:
-        violations = run_check(name, payload, cache=cache).violations
-    except (NotIntegral, SizeMismatch):
-        violations = None
+    violations = run_check(name, payload, cache=cache).violations
     records = cache.drain() if isinstance(cache, RecordingCache) else ()
     return violations, records
 
@@ -359,19 +380,14 @@ def _worker_task(task):
     return _scan_task(task, _WORKER_CACHE)
 
 
-def _merge(results, cache):
+def _merge(results, cache) -> list[Violation]:
     """Fold task results in enumeration order, replaying buffered cache writes."""
-    scanned = skipped = 0
     violations: list[Violation] = []
     for found, records in results:
-        if found is None:
-            skipped += 1
-            continue
-        scanned += 1
         violations.extend(found)
         for key, value in records:
             cache.put(*key, value)
-    return scanned, skipped, violations
+    return violations
 
 
 def scan(
@@ -382,31 +398,30 @@ def scan(
     chain_n: int = 3,
     cache=None,
 ) -> ViolationReport:
-    """Run one per-pair check over every admissible tuple within the box budget.
+    """Run one SCANS check over every payload within the box budget.
 
-    Pairs failing a check's precondition (non-integral midpoints, unequal
-    sizes where required) count as skipped. Up to min(jobs, tasks, CPUs)
-    workers run in parallel, and none when that is 1; the merge is a fold in
-    enumeration order, so reports do not depend on the schedule. Each worker
-    buffers its cache writes and the parent performs the actual appends.
+    For a row that needs an exact midpoint, the parent dispatches only the
+    pairs whose componentwise sums are all even and counts the others as
+    skipped; a dispatched pair that raises is an error. Up to
+    min(jobs, dispatched payloads, CPUs) workers run in parallel, and none
+    when that is 1; the merge is a fold in enumeration order, so reports do
+    not depend on the schedule. Each worker buffers its cache writes and the
+    parent performs the actual appends.
     """
+    row = _scan_row(conjecture)
     name = conjecture.replace("-", "_")
-    if name not in SCAN_CONJECTURES:
-        raise ValueError(f"unknown conjecture {conjecture!r}")
     start = time.monotonic()
-    if name == "chain":
-        payloads = list(_multisets_with_total(max_boxes, chain_n))
-        subject = f"scan:{name}:max_boxes={max_boxes}:n={chain_n}"
-    else:
-        payloads = list(_pairs_with_total(max_boxes, equal_sizes=name == "midpoint_kronecker"))
-        subject = f"scan:{name}:max_boxes={max_boxes}"
+    candidates = list(row.payloads(max_boxes, chain_n))
+    payloads = candidates
+    if row.exact_midpoint:
+        payloads = [pair for pair in candidates if _has_exact_midpoint(*pair)]
+    subject = f"scan:{name}:max_boxes={max_boxes}" + (f":n={chain_n}" if name == "chain" else "")
     tasks = ((name, payload) for payload in payloads)
     # A forked pool starts every worker up front, so never ask for more
     # workers than there are tasks or CPUs.
     workers = min(jobs, len(payloads), os.cpu_count() or 1)
     if workers <= 1:
-        results = map(partial(_scan_task, cache=cache), tasks)
-        scanned, skipped, violations = _merge(results, cache)
+        violations = _merge(map(partial(_scan_task, cache=cache), tasks), cache)
     else:
         worker_cache = None
         if cache is not None:
@@ -416,14 +431,9 @@ def scan(
         ) as pool:
             chunk = max(1, len(payloads) // (workers * 8))
             results = pool.map(_worker_task, tasks, chunksize=chunk)
-            scanned, skipped, violations = _merge(results, cache)
-    return ViolationReport(
-        subject=subject,
-        pairs_scanned=scanned,
-        skipped=skipped,
-        violations=violations,
-        elapsed_ms=_elapsed_ms(start),
-    )
+            violations = _merge(results, cache)
+    skipped = len(candidates) - len(payloads)
+    return ViolationReport(subject, len(payloads), skipped, violations, _elapsed_ms(start))
 
 
 # -- golden verification suite ------------------------------------------------

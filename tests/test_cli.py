@@ -8,8 +8,9 @@ import sys
 import pytest
 
 import kroncave
-from kroncave.cli import run_command
+from kroncave.cli import build_parser, run_command
 from kroncave.coefficients import clear_caches
+from kroncave.conjectures import SCANS
 from kroncave.errors import InvariantViolation
 from kroncave.store import ENGINE_VERSION, CoefficientCache
 
@@ -202,6 +203,21 @@ class TestCheckAndScan:
         out = re.sub(r',\n  "elapsedMillis": \d+', "", out)
         assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_scan_and_check_names_come_from_the_table(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        scan_names = next(a for a in commands["scan"]._actions if a.dest == "conjecture").choices
+        checks = next(a for a in commands["check"]._actions if a.dest == "conjecture").choices
+        table = {name.replace("_", "-") for name in SCANS}
+        assert set(scan_names) == table
+        assert set(checks) - {"dim-log-concavity", "saturation"} == table
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_scan_chain_needs_at_least_one_part(self, capsys, n):
+        code, out, err = run(capsys, "scan", "chain", "--max-boxes", "2", "--n", n)
+        assert code == 2 and out == ""
+        assert err == "error: need at least one partition\n"
 
     def test_scan_writes_report_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

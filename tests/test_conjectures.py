@@ -241,6 +241,11 @@ class TestScan:
         with pytest.raises(ValueError):
             scan("nonsense", 4)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_chain_needs_at_least_one_part(self, n):
+        with pytest.raises(ValueError, match="at least one partition"):
+            scan("chain", 2, chain_n=n)
+
     def test_midpoint_kronecker_finds_s8_pair(self):
         report = scan("midpoint_kronecker", 16)
         pairs = {(v.lam, v.mu) for v in report.violations}
@@ -258,7 +263,10 @@ class TestScan:
         assert not sequential.passed
 
     def test_pool_is_capped_by_tasks_and_cpus(self, monkeypatch):
-        """Workers = min(jobs, tasks, CPUs), and no pool at all when that is 1."""
+        """Workers = min(jobs, tasks, CPUs), and no pool at all when that is 1.
+
+        Tasks are the dispatched pairs: the parent never sends a pair without
+        an exact midpoint to the pool."""
         asked = []
 
         class InProcessPool:
@@ -277,14 +285,31 @@ class TestScan:
 
         monkeypatch.setattr(conjectures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(conjectures, "_WORKER_CACHE", None)
-        expected = scan("midpoint_reduced", 4).canonical_json()
-        tasks = len(list(conjectures._pairs_with_total(4)))
+        report = scan("midpoint_reduced", 4)
+        expected = report.canonical_json()
+        tasks = report.pairs_scanned
+        assert (tasks, report.skipped) == (8, 13)
         cases = [(64, 1000, [tasks]), (3, 8, [3]), (64, 2, [2]), (1, 8, []), (None, 8, [])]
         for cpus, jobs, workers in cases:
             monkeypatch.setattr(conjectures.os, "cpu_count", lambda cpus=cpus: cpus)
             asked.clear()
             assert scan("midpoint_reduced", 4, jobs=jobs).canonical_json() == expected
             assert asked == workers, (cpus, jobs)
+
+    def test_parent_alone_decides_skips(self, monkeypatch):
+        """A pair the parity filter admits is checked; a NotIntegral is an error."""
+        monkeypatch.setattr(conjectures, "_has_exact_midpoint", lambda lam, mu: True)
+        with pytest.raises(NotIntegral):
+            scan("midpoint-reduced", 4)
+
+    def test_parity_filter_matches_midpoint(self):
+        for lam, mu in conjectures._pairs_with_total(8):
+            try:
+                midpoint(lam, mu)
+                exact = True
+            except NotIntegral:
+                exact = False
+            assert conjectures._has_exact_midpoint(lam, mu) == exact, (lam, mu)
 
     def test_cache_lines_match_across_job_counts(self, tmp_path):
         lines = []
