@@ -5,10 +5,12 @@ the abacus of the shape: its beta-set (first-column hook lengths) as a bitmask
 with one bead per row. Removing a border strip of length t moves the bead at b
 to b - t when that position is free; the sign is the parity of the beads
 strictly between. Zero rows are the trailing set bits, which are shifted out,
-so each mask with bit 0 clear is exactly one shape and serves as its memo key.
-Cycles are consumed largest first, which shrinks the shape fastest and
-maximizes memo reuse across queries. All arithmetic is exact Python ints;
-factorials past 20! overflow machine words, so nothing here may ever round.
+so each mask with bit 0 clear is exactly one shape. The memo has two levels,
+memo[cycles][mask] -> value: each remaining cycle type is held once, with an
+int-keyed row of the shapes of its size. Cycles are consumed largest first,
+which shrinks the shape fastest and maximizes memo reuse across queries. All
+arithmetic is exact Python ints; factorials past 20! overflow machine words,
+so nothing here may ever round.
 
 A conjugacy class of S_n is its cycle type, a partition of n. The classes
 are indexed in the order of partitions_of(n), and class_sizes(n) lists their
@@ -68,14 +70,19 @@ def _chi(mask: int, cycles: Partition, memo: dict) -> int:
 
     A strip of length t moves the bead at b to the free position b - t; its
     sign is the parity of the beads strictly between them. A bead landing on
-    0 turns the lowest rows into zero rows, which the shift drops.
+    0 turns the lowest rows into zero rows, which the shift drops. Values are
+    memoized as memo[cycles][mask], so a row only holds shapes of size
+    |cycles|.
     """
     if not mask:
         return 1
-    key = (mask, cycles)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+    row = memo.get(cycles)
+    if row is None:
+        row = memo[cycles] = {}
+    else:
+        hit = row.get(mask)
+        if hit is not None:
+            return hit
     t = cycles[0]
     rest = cycles[1:]
     between = (1 << (t - 1)) - 1
@@ -92,7 +99,7 @@ def _chi(mask: int, cycles: Partition, memo: dict) -> int:
             moved >>= (moved ^ (moved + 1)).bit_length() - 1
         value = _chi(moved, rest, memo)
         total += -value if ((mask >> (p + 1)) & between).bit_count() & 1 else value
-    memo[key] = total
+    row[mask] = total
     return total
 
 
@@ -102,8 +109,8 @@ def character_value(
     """Character of the irreducible labelled lam on the class with these cycles.
 
     cycles must be sorted weakly decreasing and sum to |lam|. Pass a dict to
-    memoize across calls (keyed by beta-set mask and cycles); None gives this
-    call a memo of its own.
+    memoize across calls (keyed by cycles, then by beta-set mask); None gives
+    this call a memo of its own.
     """
     return _chi(_mask(lam), tuple(cycles), {} if memo is None else memo)
 
@@ -121,10 +128,13 @@ class CharacterTable:
     def character(self, lam: Partition, rho) -> int:
         cycles = tuple(rho)
         mask = _mask(lam)
-        # Every memo key has |shape| == |cycles|, so a hit needs no size check.
-        hit = self._memo.get((mask, cycles))
-        if hit is not None:
-            return hit
+        # A row of cycles holds only shapes of size |cycles|, so a hit needs
+        # no size check.
+        row = self._memo.get(cycles)
+        if row is not None:
+            hit = row.get(mask)
+            if hit is not None:
+                return hit
         if sum(lam) != sum(cycles):
             raise SizeMismatch(f"|lam|={sum(lam)} but cycle type has size {sum(cycles)}")
         return _chi(mask, cycles, self._memo)
@@ -141,7 +151,8 @@ class CharacterTable:
         self._memo.clear()
 
     def __len__(self):
-        return len(self._memo)
+        """Memoized (shape, cycles) values, summed over the cycle-type rows."""
+        return sum(map(len, self._memo.values()))
 
 
 DEFAULT_TABLE = CharacterTable()

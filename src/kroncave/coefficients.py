@@ -409,9 +409,9 @@ def reduced_kronecker(lam: Partition, mu: Partition, nu: Partition, *, cache=Non
 def reduced_tensor_decompose(lam: Partition, mu: Partition, *, cache=None) -> VirtualRep:
     """Stable product of two single classes, expanded over all partitions.
 
-    Support is finite: coefficients vanish outside sizes |nu| <= |lam|+|mu|
-    satisfying the triangle inequalities, so those candidates are enumerated
-    and filtered before any character work.
+    Support is finite: coefficients vanish unless
+    ||lam| - |mu|| <= |nu| <= |lam| + |mu|, so only those sizes are
+    enumerated.
     """
     lam, mu = tuple(lam), tuple(mu)
     pair = (lam, mu) if lam <= mu else (mu, lam)
@@ -419,10 +419,9 @@ def reduced_tensor_decompose(lam: Partition, mu: Partition, *, cache=None) -> Vi
     if hit is not None:
         return VirtualRep(hit)
     coeffs = {}
-    for size in range(sum(lam) + sum(mu) + 1):
+    a, b = sum(lam), sum(mu)
+    for size in range(abs(a - b), a + b + 1):
         for nu in sorted(partitions_of(size)):
-            if not murnaghan_inequalities(lam, mu, nu):
-                continue
             value = reduced_kronecker(lam, mu, nu, cache=cache)
             if value:
                 coeffs[nu] = value

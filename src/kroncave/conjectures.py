@@ -288,10 +288,14 @@ def _pairs_with_total(max_boxes: int, equal_sizes: bool = False) -> Iterator[tup
 
 
 def _multisets_with_total(max_boxes: int, n: int) -> Iterator[tuple]:
-    """Multisets of n partitions with total size <= max_boxes, canonical order."""
+    """Multisets of n partitions with total size <= max_boxes, canonical order.
+
+    At most max_boxes parts are non-empty, so the empty parts lead, most
+    first, and the recursion runs over the non-empty ones only.
+    """
     if n < 1:
         raise ValueError("need at least one partition")
-    pool = list(partitions_up_to(max_boxes))  # size-major ascending
+    pool = list(partitions_up_to(max_boxes))[1:]  # non-empty, size-major ascending
 
     def rec(start: int, remaining: int, chosen: tuple):
         if len(chosen) == n:
@@ -303,7 +307,8 @@ def _multisets_with_total(max_boxes: int, n: int) -> Iterator[tuple]:
                 break
             yield from rec(i, remaining - sum(p), chosen + (p,))
 
-    yield from rec(0, max_boxes, ())
+    for empties in range(n, max(0, n - max_boxes) - 1, -1):
+        yield from rec(0, max_boxes, ((),) * empties)
 
 
 def _pairs(max_boxes: int, chain_n: int) -> Iterator[tuple]:
@@ -409,6 +414,10 @@ def scan(
     parent performs the actual appends.
     """
     row = _scan_row(conjecture)
+    if max_boxes < 0:
+        raise ValueError(f"max_boxes must be >= 0, got {max_boxes}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     name = conjecture.replace("-", "_")
     start = time.monotonic()
     candidates = list(row.payloads(max_boxes, chain_n))

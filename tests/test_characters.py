@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -18,7 +19,7 @@ from kroncave.characters import (
 )
 from kroncave.coefficients import clear_caches
 from kroncave.errors import SizeMismatch
-from kroncave.partitions import conjugate, partitions_of, partitions_up_to, syt_count
+from kroncave.partitions import conjugate, pad, partitions_of, partitions_up_to, syt_count
 
 from oracles import beta_list_character, class_sizes_bruteforce, syt_count_bruteforce
 
@@ -118,6 +119,16 @@ class TestCharacter:
             rho = rng.choice(partitions_of(n))
             assert table.character(lam, rho) == character_value(lam, rho, memo=None)
 
+    def test_caller_memo_matches_fresh_memo(self):
+        rng = random.Random(20261018)
+        memo = {}
+        for _ in range(300):
+            n = rng.randint(0, 12)
+            lam = rng.choice(partitions_of(n))
+            rho = rng.choice(partitions_of(n))
+            assert character_value(lam, rho, memo) == character_value(lam, rho, memo=None)
+        assert memo
+
     def test_values_are_ints(self):
         for lam in partitions_of(6):
             for rho in partitions_of(6):
@@ -161,6 +172,25 @@ class TestBetaListOracle:
             for rho in classes:
                 assert table.character(lam, rho) == beta_list_character(lam, rho, memo)
         assert len(table) == len(memo)
+
+
+class TestMemoFootprint:
+    def test_bytes_per_entry(self):
+        """The memo holds each cycle type once, with int-keyed rows of shapes."""
+        shapes = [pad(lam, 20) for lam in partitions_up_to(6)]
+        classes = partitions_of(20)
+        for lam in shapes:
+            _mask(lam)
+        table = CharacterTable()
+        tracemalloc.start()
+        try:
+            for lam in shapes:
+                for rho in classes:
+                    table.character(lam, rho)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held / len(table) <= 100, (held, len(table))
 
 
 class TestHitFirstLookup:

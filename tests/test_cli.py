@@ -219,6 +219,29 @@ class TestCheckAndScan:
         assert code == 2 and out == ""
         assert err == "error: need at least one partition\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("midpoint-reduced", "--max-boxes", "-3"),
+            ("sort", "--max-boxes", "2", "--jobs", "-4"),
+            ("sort", "--max-boxes", "2", "--jobs", "0"),
+        ],
+    )
+    def test_scan_bad_budget_or_jobs_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, "scan", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+    def test_scan_long_chain_of_empty_parts(self, capsys, tmp_path):
+        # 1,199 or 1,200 of the 1,200 parts are empty; the scan must not
+        # recurse once per part.
+        out_path = tmp_path / "chain.json"
+        code, out, _ = run(
+            capsys, "scan", "chain", "--max-boxes", "1", "--n", "1200", "--out", str(out_path)
+        )
+        assert code in (0, 1) and out == ""
+        assert json.loads(out_path.read_text())["pairsScanned"] == 2
+
     def test_scan_writes_report_file(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, out, _ = run(

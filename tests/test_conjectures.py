@@ -1,6 +1,7 @@
 import hashlib
 import json
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -27,6 +28,7 @@ from kroncave.partitions import (
     murnaghan_inequalities,
     pad,
     partitions_of,
+    partitions_up_to,
     syt_count,
 )
 from kroncave.store import CoefficientCache, parse_partition_text
@@ -245,6 +247,21 @@ class TestScan:
     def test_chain_needs_at_least_one_part(self, n):
         with pytest.raises(ValueError, match="at least one partition"):
             scan("chain", 2, chain_n=n)
+
+    @pytest.mark.parametrize("max_boxes, jobs", [(-1, 1), (2, 0), (2, -4)])
+    def test_negative_budget_or_no_jobs_rejected(self, max_boxes, jobs):
+        with pytest.raises(ValueError):
+            scan("sort", max_boxes, jobs)
+
+    def test_chain_payloads_put_more_empty_parts_first(self):
+        from kroncave.conjectures import _multisets_with_total
+
+        for max_boxes, n in ((0, 3), (2, 1), (3, 4), (4, 2)):
+            pool = list(partitions_up_to(max_boxes))
+            expected = [c for c in combinations_with_replacement(range(len(pool)), n)
+                        if sum(sum(pool[i]) for i in c) <= max_boxes]
+            got = list(_multisets_with_total(max_boxes, n))
+            assert got == [tuple(pool[i] for i in c) for c in expected], (max_boxes, n)
 
     def test_midpoint_kronecker_finds_s8_pair(self):
         report = scan("midpoint_kronecker", 16)
