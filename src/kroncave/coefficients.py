@@ -9,8 +9,23 @@ over those classes live in one store, filled only at the classes a sum asks
 for, so each character is looked up once per clear_caches(). A pair
 (lam, mu) keeps its support, the classes where chi_lam * chi_mu != 0, with
 class size * chi_lam * chi_mu on it. A single coefficient gathers nu's row on
-that support, so a sum at S_30 never pays for a whole row; a whole S_n tensor
-product takes one dense dot product per nu with complete rows.
+that support, so a sum at S_30 never pays for a whole row.
+
+A whole S_n tensor product lam (x) mu is one class sum over a packed
+character table (Kronecker substitution). Class rho's column is one integer
+whose i-th slot of w bytes holds chi_{nu_i}(rho), for the partitions nu_i of
+n in order: col_rho = sum_i chi_{nu_i}(rho) * 2^(8wi). Then
+
+  sum_rho |C_rho| chi_lam(rho) chi_mu(rho) col_rho
+
+holds every nu's class sum at once, and each is read back from its bytes.
+No total can leave its slot: by the triangle inequality each is at most
+B = sum_rho |C_rho| M_rho^3 in absolute value, with M_rho the largest
+|chi_nu(rho)| in the stored column, and a slot holds [-2^(8w-1), 2^(8w-1))
+with 2^(8w-1) > B. So a decoded total outside [-B, B] means the packing
+broke, and raises InvariantViolation; every total still goes through the n!
+divisibility and sign checks. The table is built once per n from complete rows, and
+rebuilt when one of its rows is no longer the one the row store holds.
 
 Littlewood-Richardson coefficients count skew tableaux by depth-first
 construction with lattice pruning; a whole product s_lam s_mu is one walk
@@ -32,7 +47,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import mul
+from operator import is_, mul
 from typing import Iterable, NamedTuple
 
 from .characters import DEFAULT_TABLE, _mask, class_sizes
@@ -50,6 +65,8 @@ from .partitions import (
 # nu -> character row of nu over the classes partitions_of(|nu|): a tuple once
 # complete, before that a list with None at the classes no sum has asked for yet.
 _ROWS: dict = {}
+# n -> _PackedTable of S_n (module docstring), packed from complete rows of _ROWS.
+_PACKED: dict = {}
 # (lam, mu) -> (support, weights): the class indices where chi_lam * chi_mu
 # != 0, ascending, and class size * chi_lam * chi_mu at each of them.
 # Values are table-independent exact integers, so one shared store is safe.
@@ -63,6 +80,7 @@ _STABLE_PRODUCTS: dict = {}
 def clear_caches() -> None:
     """Drop every in-process memo (character table included)."""
     _ROWS.clear()
+    _PACKED.clear()
     _PAIR_WEIGHTS.clear()
     _REDUCED_MEMO.clear()
     _STABLE_PRODUCTS.clear()
@@ -212,16 +230,64 @@ class VirtualRep:
 VirtualStableRep = VirtualRep
 
 
+class _PackedTable(NamedTuple):
+    rows: tuple  # the _ROWS tuples packed, in the order of partitions_of(n)
+    columns: tuple  # |C_rho| * col_rho, one integer per class
+    width: int  # bytes per slot
+    bound: int  # B: no class sum of a pair at n exceeds it in absolute value
+    half: int  # 2^(8 width - 1): a slot holds a total plus half
+    offset: int  # half in every slot
+
+
+def _packed_table(n: int) -> _PackedTable:
+    """S_n's character table packed by class, as the module docstring describes."""
+    shapes = partitions_of(n)
+    table = _PACKED.get(n)
+    if table is not None and all(map(is_, table.rows, map(_ROWS.get, shapes))):
+        return table
+    rows = tuple(map(_full_row, shapes))
+    sizes = class_sizes(n)
+    # two passes over the columns, so they are never all held at once
+    bound = sum(size * max(map(abs, col)) ** 3 for size, col in zip(sizes, zip(*rows)))
+    width = bound.bit_length() // 8 + 1
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * len(shapes), "little")
+    packed = tuple(
+        size
+        * (
+            int.from_bytes(
+                b"".join([(x + half).to_bytes(width, "little") for x in col]), "little"
+            )
+            - offset
+        )
+        for size, col in zip(sizes, zip(*rows))
+    )
+    _PACKED[n] = table = _PackedTable(rows, packed, width, bound, half, offset)
+    return table
+
+
 def tensor_decompose(lam: Partition, mu: Partition) -> VirtualRep:
-    """Full decomposition of the S_n tensor product lam (x) mu."""
+    """Full decomposition of the S_n tensor product lam (x) mu, as one packed
+    class sum (module docstring)."""
     n = sum(lam)
     if sum(mu) != n:
         raise SizeMismatch(f"sizes differ: {sum(lam)} vs {sum(mu)}")
-    lam, mu = tuple(lam), tuple(mu)
-    weights = list(map(mul, class_sizes(n), map(mul, _full_row(lam), _full_row(mu))))
+    table = _packed_table(n)
+    weights = map(mul, _full_row(tuple(lam)), _full_row(tuple(mu)))
+    total = sum(map(mul, weights, table.columns)) + table.offset
+    width, bound, half = table.width, table.bound, table.half
+    try:
+        data = total.to_bytes(width * len(table.rows), "little")
+    except OverflowError:
+        raise InvariantViolation(f"packed class sum left its slots in S_{n}") from None
     coeffs = {}
-    for nu in partitions_of(n):
-        coeffs[nu] = _multiplicity(sum(map(mul, _full_row(nu), weights)), nu, n)
+    for start, nu in zip(range(0, len(data), width), partitions_of(n)):
+        value = int.from_bytes(data[start : start + width], "little") - half
+        if not -bound <= value <= bound:
+            raise InvariantViolation(
+                f"class sum {value} for {nu} in S_{n} is past the slot bound {bound}"
+            )
+        coeffs[nu] = _multiplicity(value, nu, n)
     return VirtualRep(coeffs, n)
 
 

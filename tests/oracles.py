@@ -212,6 +212,58 @@ def littlewood_reduced_kronecker(lam, mu, nu):
     return total
 
 
+@lru_cache(maxsize=None)
+def _multi_lr(outer, sizes):
+    """{(rho^1, ..., rho^k): c^outer_{rho^1...rho^k}} over |rho^i| = sizes[i].
+
+    c^outer_{rho^1...rho^k} is the coefficient of s_outer in the product
+    s_{rho^1} ... s_{rho^k}; peeling off the last factor,
+    c^outer_{rho^1...rho^k} = sum over kappa of c^kappa_{rho^1...rho^(k-1)}
+    c^outer_{kappa,rho^k}.
+    """
+    from kroncave.coefficients import lr_coefficient
+
+    if not sizes:
+        return {(): 1}
+    *head, last = sizes
+    out = {}
+    for kappa in _inside(outer, sum(outer) - last):
+        for rho in _inside(outer, last):
+            c = lr_coefficient(kappa, rho, outer)
+            if not c:
+                continue
+            for rhos, v in _multi_lr(kappa, tuple(head)).items():
+                key = rhos + (rho,)
+                out[key] = out.get(key, 0) + v * c
+    return out
+
+
+def jacobi_trudi_kronecker(lam, mu, nu):
+    """Kronecker coefficient g_{lam,mu,nu} from LR coefficients alone.
+
+    Jacobi-Trudi expands s_mu = det(h_{mu_i - i + j}) = sum over permutations
+    sigma of sgn(sigma) h_alpha, alpha_i = mu_i - i + sigma(i), and
+    <s_lam * s_nu, h_alpha> = <s_lam * h_alpha, s_nu> = sum over rho of
+    c^lam_rho c^nu_rho, with rho = (rho^1, ..., rho^k) and |rho^i| = alpha_i
+    (Littlewood; Garsia and Remmel, Graphs Combin. 1985). No character is
+    evaluated.
+    """
+    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
+    if not sum(lam) == sum(mu) == sum(nu):
+        return 0
+    k = len(mu)
+    total = 0
+    for sigma in permutations(range(k)):
+        alpha = tuple(mu[i] - i + sigma[i] for i in range(k))
+        if min(alpha, default=0) < 0:
+            continue
+        inversions = sum(a > b for i, a in enumerate(sigma) for b in sigma[i + 1:])
+        left, right = _multi_lr(lam, alpha), _multi_lr(nu, alpha)
+        inner = sum(v * right.get(rhos, 0) for rhos, v in left.items())
+        total += -inner if inversions & 1 else inner
+    return total
+
+
 # The beta-list Murnaghan-Nakayama recursion the library used before its
 # bitmask abacus, kept as a second character engine. Memo keys are
 # (shape, cycles), one per (mask, cycles) key of the library's memo.

@@ -29,7 +29,7 @@ from kroncave.coefficients import (
     tensor_decompose,
 )
 from kroncave.conjectures import scan
-from kroncave.errors import PadTooSmall, SizeMismatch
+from kroncave.errors import InvariantViolation, PadTooSmall, SizeMismatch
 from kroncave.partitions import (
     conjugate,
     murnaghan_inequalities,
@@ -41,6 +41,7 @@ from kroncave.partitions import (
 
 from oracles import (
     beta_list_character,
+    jacobi_trudi_kronecker,
     littlewood_reduced_kronecker,
     lr_count_bruteforce,
     lr_filling_count,
@@ -111,6 +112,26 @@ class TestTensorDecompose:
                     total = sum(g * syt_count(nu) for nu, g in rep.items())
                     assert total == syt_count(lam) * syt_count(mu), (lam, mu)
 
+    @staticmethod
+    def _check_pair(lam, mu):
+        rep = tensor_decompose(lam, mu)
+        for nu in partitions_of(sum(lam)):
+            assert rep[nu] == kronecker(lam, mu, nu), (lam, mu, nu)
+        total = sum(g * syt_count(nu) for nu, g in rep.items())
+        assert total == syt_count(lam) * syt_count(mu), (lam, mu)
+
+    def test_matches_kronecker_at_9_and_10(self):
+        for n in (9, 10):
+            for lam in partitions_of(n):
+                for mu in partitions_of(n):
+                    self._check_pair(lam, mu)
+
+    def test_widest_slot_pairs_at_13(self):
+        """The largest sums at the largest size the fixed-size scans reach."""
+        widest = max(partitions_of(13), key=syt_count)
+        self._check_pair(widest, widest)
+        self._check_pair((13,), (1,) * 13)
+
     def test_virtual_arithmetic(self):
         a = tensor_decompose((2, 1), (2, 1))
         zero = a - a
@@ -135,6 +156,25 @@ class TestTensorDecompose:
             fixed * fixed
         with pytest.raises(TypeError):
             VirtualStableRep.single((1,)) * fixed
+
+
+class TestJacobiTrudiOracle:
+    """Kronecker coefficients from LR coefficients alone, with no character."""
+
+    def test_matches_tensor_decompose(self):
+        for n in range(7):
+            for lam in partitions_of(n):
+                for mu in partitions_of(n):
+                    rep = tensor_decompose(lam, mu)
+                    for nu in partitions_of(n):
+                        assert jacobi_trudi_kronecker(lam, mu, nu) == rep[nu], (lam, mu, nu)
+
+    def test_matches_kronecker_on_seeded_triples(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            shapes = partitions_of(rng.choice((7, 8)))
+            lam, mu, nu = (rng.choice(shapes) for _ in range(3))
+            assert jacobi_trudi_kronecker(lam, mu, nu) == kronecker(lam, mu, nu), (lam, mu, nu)
 
 
 def _triples(max_n):
@@ -216,6 +256,23 @@ class TestRowStore:
         completed = {triple: kronecker(*triple) for triple in triples}
 
         assert fresh == partly_filled == completed
+
+    def test_fill_order_does_not_change_tensor_decompose(self):
+        pairs = [(lam, mu) for n in range(9) for lam in partitions_of(n) for mu in partitions_of(n)]
+        fresh = {}
+        for lam, mu in pairs:
+            clear_caches()
+            fresh[lam, mu] = tensor_decompose(lam, mu)
+
+        # Sums on one narrow support first leave rows with holes, then whole products.
+        clear_caches()
+        for n in range(9):
+            top = max(partitions_of(n), key=syt_count)
+            for nu in partitions_of(n):
+                kronecker(top, top, nu)
+        rows = coefficients._ROWS.values()
+        assert sum(type(row) is list and None in row for row in rows) > 0
+        assert {pair: tensor_decompose(*pair) for pair in pairs} == fresh
 
     def test_padded_scan_triples_match_beta_list_sum(self, monkeypatch):
         clear_caches()
@@ -581,3 +638,42 @@ class TestInvariantChecks:
             "InvariantViolation: non-integral character sum 1 for (2, 1) in S_3",
             "InvariantViolation: negative multiplicity -1 for (2, 1) in S_3",
         ]
+
+    def test_stale_packed_table_is_rebuilt_under_optimize_flag(self):
+        """A row replaced after the S_3 table was packed is read, not the old one."""
+        code = (
+            "from kroncave import coefficients\n"
+            "from kroncave.errors import InvariantViolation\n"
+            "if __debug__:\n"
+            "    raise SystemExit('not running under -O')\n"
+            "coefficients.tensor_decompose((3,), (3,))\n"
+            "row = coefficients._full_row((2, 1))\n"
+            "for last in (3, -4):\n"
+            "    coefficients._ROWS[(2, 1)] = row[:-1] + (last,)\n"
+            "    try:\n"
+            "        coefficients.tensor_decompose((3,), (3,))\n"
+            "    except InvariantViolation as exc:\n"
+            "        print('InvariantViolation:', exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kroncave.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "InvariantViolation: non-integral character sum 1 for (2, 1) in S_3",
+            "InvariantViolation: negative multiplicity -1 for (2, 1) in S_3",
+        ]
+
+    def test_total_past_the_slot_bound_raises(self):
+        clear_caches()
+        lam = (3, 2, 1)
+        tensor_decompose(lam, lam)
+        table = coefficients._PACKED[6]
+        try:
+            coefficients._PACKED[6] = table._replace(bound=1)
+            with pytest.raises(InvariantViolation, match="past the slot bound 1"):
+                tensor_decompose(lam, lam)
+        finally:
+            clear_caches()
