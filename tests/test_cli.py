@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import json
+import logging
 import os
 import re
 import subprocess
@@ -8,6 +10,7 @@ import sys
 import pytest
 
 import kroncave
+from kroncave import coefficients
 from kroncave.cli import build_parser, run_command
 from kroncave.coefficients import clear_caches
 from kroncave.conjectures import SCANS
@@ -273,11 +276,15 @@ class TestCheckAndScan:
         assert "scale 2 gives 80" in out
 
 
-def redkron_line(value):
+def cache_line(kind, lam, mu, nu, value):
     return json.dumps(
-        {"kind": "redkron", "lambda": "1", "mu": "1", "nu": "1",
+        {"kind": kind, "lambda": lam, "mu": mu, "nu": nu,
          "value": value, "engineVersion": ENGINE_VERSION}
     )
+
+
+def redkron_line(value):
+    return cache_line("redkron", "1", "1", "1", value)
 
 
 class TestUntrustedCache:
@@ -327,6 +334,105 @@ class TestUntrustedCache:
         code, out, _ = run(capsys, "redtensor", "--lambda", "1", "--mu", "1", "--cache", str(path))
         assert code == 0
         assert json.loads(out) == {"-": 1, "1": 1, "1,1": 1, "2": 1}
+
+
+# Records of the kinds that older files hold, each with a wrong value of 9;
+# every true value is 1.
+OLD_KIND_RECORDS = {"kron": ("2,1", "2,1", "3"), "lr": ("2,1", "1", "2,2")}
+
+
+@pytest.fixture
+def old_kinds_file(tmp_path):
+    path = tmp_path / "old.jsonl"
+    path.write_text(
+        "".join(cache_line(kind, *triple, "9") + "\n" for kind, triple in OLD_KIND_RECORDS.items())
+    )
+    return path
+
+
+def triple_flags(kind):
+    lam, mu, nu = OLD_KIND_RECORDS[kind]
+    return (kind, "--lambda", lam, "--mu", mu, "--nu", nu)
+
+
+class TestOnlyReducedValuesAreCached:
+    """kron and lr never read a cache, so a planted record cannot decide them."""
+
+    @pytest.mark.parametrize("kind", OLD_KIND_RECORDS)
+    @pytest.mark.parametrize(
+        "flags", [("--cache-all", "--cache"), ("--cache",), ("--cache-all",)],
+        ids=" ".join,
+    )
+    def test_cache_flags_are_usage_errors(self, capsys, old_kinds_file, kind, flags):
+        argv = [*triple_flags(kind), *flags]
+        if "--cache" in flags:
+            argv.append(str(old_kinds_file))
+        code, out, _ = run(capsys, *argv)
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("kind", OLD_KIND_RECORDS)
+    def test_env_cache_cannot_decide_the_value(self, capsys, old_kinds_file, monkeypatch, kind):
+        monkeypatch.setenv("KRONCAVE_CACHE", str(old_kinds_file))
+        before = old_kinds_file.read_text()
+        code, out, _ = run(capsys, *triple_flags(kind))
+        assert code == 0 and out.strip() == "1"
+        assert old_kinds_file.read_text() == before
+
+    def test_old_kind_lines_are_skipped(self, capsys, old_kinds_file, monkeypatch, caplog):
+        with old_kinds_file.open("a") as fh:
+            fh.write(redkron_line("1") + "\n")
+
+        def computed(*args):
+            raise AssertionError("the redkron record should have answered")
+
+        monkeypatch.setattr(coefficients, "kronecker_sequence", computed)
+        clear_caches()
+        with caplog.at_level(logging.WARNING):
+            code, out, _ = run(
+                capsys, "redkron", "--lambda", "1", "--mu", "1", "--nu", "1",
+                "--cache", str(old_kinds_file),
+            )
+        assert code == 0 and out.strip() == "1"
+        assert sum("unknown kind" in r.message for r in caplog.records) == 2
+
+    def test_scan_report_ignores_old_kind_lines(self, capsys, old_kinds_file, tmp_path):
+        with old_kinds_file.open("a") as fh:
+            fh.write(redkron_line("1") + "\n")
+        reports = []
+        for path in (old_kinds_file, tmp_path / "new.jsonl"):
+            clear_caches()
+            code, out, _ = run(
+                capsys, "scan", "midpoint-reduced", "--max-boxes", "4", "--cache", str(path)
+            )
+            report = json.loads(out)
+            report.pop("elapsedMillis")
+            reports.append((code, report))
+        assert reports[0] == reports[1] and reports[0][0] == 0
+
+
+def leaf_options(parser, path=()):
+    """(subcommand path, option strings) for each parser that runs a handler."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield " ".join(path), {s for a in parser._actions for s in a.option_strings}
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from leaf_options(child, (*path, name))
+
+
+class TestCacheSurface:
+    """Only the reduced commands take --cache, and nothing takes --cache-all."""
+
+    def test_cache_flags_by_subcommand(self):
+        options = dict(leaf_options(build_parser()))
+        assert [cmd for cmd, opts in options.items() if "--cache-all" in opts] == []
+        uncached = ["kron", "lr", "tensor", "char", "dim", "verify", "check dim-log-concavity"]
+        uncached += [cmd for cmd in options if cmd.startswith("closed-form ")]
+        assert len(uncached) == 10
+        assert [cmd for cmd in uncached if "--cache" in options[cmd]] == []
+        cached = ["redkron", "redtensor", "scan", "check saturation"]
+        cached += [f"check {name.replace('_', '-')}" for name in SCANS]
+        assert [cmd for cmd in cached if "--cache" not in options[cmd]] == []
 
 
 class TestFixedProtocol:

@@ -185,6 +185,15 @@ class TestCacheAgainstEngine:
         clear_caches()
         assert reduced_kronecker((2,), (1, 1), (2, 1), cache=CoefficientCache(str(path))) == clean
 
+    def test_memo_hit_writes_nothing(self, tmp_path):
+        """A cache gets a line for each value computed while it is attached."""
+        path = tmp_path / "c.jsonl"
+        clear_caches()
+        value = reduced_kronecker((2,), (1, 1), (2, 1))
+        cache = CoefficientCache(str(path))
+        assert reduced_kronecker((2,), (1, 1), (2, 1), cache=cache) == value
+        assert len(cache) == 0 and not path.exists()
+
     def test_hit_equals_cold_computation(self, tmp_path):
         rng = random.Random(7)
         shapes = list(partitions_up_to(4))
