@@ -39,10 +39,8 @@ def _partition_flag(parser, flag, dest, required=True, help_text="partition text
     parser.add_argument(flag, dest=dest, type=parse_partition_text, required=required, help=help_text)
 
 
-def _cache_for(args, enabled=True):
-    if not enabled:
-        return None
-    return CoefficientCache(resolve_cache_path(getattr(args, "cache", None)))
+def _cache_for(args):
+    return CoefficientCache(resolve_cache_path(args.cache))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -66,14 +64,8 @@ def _decomposition_json(items) -> str:
 
 
 def _cmd_coefficient(args) -> int:
-    """kron and lr: args.kind names the cache kind, args.compute the function."""
-    cache = _cache_for(args, enabled=args.cache_all)
-    value = None if cache is None else cache.get(args.kind, args.lam, args.mu, args.nu)
-    if value is None:
-        value = args.compute(args.lam, args.mu, args.nu)
-        if cache is not None:
-            cache.put(args.kind, args.lam, args.mu, args.nu, value)
-    print(value)
+    """kron and lr: args.compute names the function."""
+    print(args.compute(args.lam, args.mu, args.nu))
     return 0
 
 
@@ -182,15 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
         _partition_flag(p, "--mu", "mu")
         _partition_flag(p, "--nu", "nu")
 
-    for kind, compute, help_text in (
+    for name, compute, help_text in (
         ("kron", kronecker, "Kronecker coefficient of three same-size partitions"),
         ("lr", lr_coefficient, "Littlewood-Richardson coefficient"),
     ):
-        p = sub.add_parser(kind, help=help_text)
+        p = sub.add_parser(name, help=help_text)
         triple(p)
-        p.add_argument("--cache", default=None)
-        p.add_argument("--cache-all", action="store_true", help=f"persist {kind} results too")
-        p.set_defaults(handler=_cmd_coefficient, kind=kind, compute=compute)
+        p.set_defaults(handler=_cmd_coefficient, compute=compute)
 
     p = sub.add_parser("redkron", help="reduced (stable) Kronecker coefficient")
     triple(p)

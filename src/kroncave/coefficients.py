@@ -442,7 +442,8 @@ def reduced_kronecker(lam: Partition, mu: Partition, nu: Partition, *, cache=Non
     Returns 0 immediately when the size triangle inequalities fail. Otherwise
     evaluates at stabilization_start and checks the value one size later, as
     documented in the module docstring. A persistent cache object (see
-    kroncave.store) may be supplied.
+    kroncave.store) may be supplied; it gets a record for each value computed
+    while it is attached, and none for an in-process memo hit.
     """
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
     if not murnaghan_inequalities(lam, mu, nu):
@@ -451,11 +452,9 @@ def reduced_kronecker(lam: Partition, mu: Partition, nu: Partition, *, cache=Non
     key = (pair, nu)
     hit = _REDUCED_MEMO.get(key)
     if hit is not None:
-        if cache is not None:
-            cache.put("redkron", pair[0], pair[1], nu, hit)
         return hit
     if cache is not None:
-        stored = cache.get("redkron", pair[0], pair[1], nu)
+        stored = cache.get(pair[0], pair[1], nu)
         if stored is not None:
             _REDUCED_MEMO[key] = stored
             return stored
@@ -468,7 +467,7 @@ def reduced_kronecker(lam: Partition, mu: Partition, nu: Partition, *, cache=Non
         )
     _REDUCED_MEMO[key] = value
     if cache is not None:
-        cache.put("redkron", pair[0], pair[1], nu, value)
+        cache.put(pair[0], pair[1], nu, value)
     return value
 
 

@@ -14,7 +14,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import zip_longest
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -372,17 +371,11 @@ def run_check(name: str, payload, *, cache=None) -> ViolationReport:
     return _scan_row(name).check(payload, cache)
 
 
-def _scan_task(task, cache):
-    """(violations, cache records buffered for the parent)."""
-    name, payload = task
-    violations = run_check(name, payload, cache=cache).violations
-    records = cache.drain() if isinstance(cache, RecordingCache) else ()
-    return violations, records
-
-
 def _worker_task(task):
-    """Pool entry point: runs the task against this worker's RecordingCache."""
-    return _scan_task(task, _WORKER_CACHE)
+    """Pool entry point: (violations, this worker's buffered cache records)."""
+    name, payload = task
+    violations = run_check(name, payload, cache=_WORKER_CACHE).violations
+    return violations, (() if _WORKER_CACHE is None else _WORKER_CACHE.drain())
 
 
 def _merge(results, cache) -> list[Violation]:
@@ -425,13 +418,15 @@ def scan(
     if row.exact_midpoint:
         payloads = [pair for pair in candidates if _has_exact_midpoint(*pair)]
     subject = f"scan:{name}:max_boxes={max_boxes}" + (f":n={chain_n}" if name == "chain" else "")
-    tasks = ((name, payload) for payload in payloads)
     # A forked pool starts every worker up front, so never ask for more
     # workers than there are tasks or CPUs.
     workers = min(jobs, len(payloads), os.cpu_count() or 1)
     if workers <= 1:
-        violations = _merge(map(partial(_scan_task, cache=cache), tasks), cache)
+        violations = [
+            v for payload in payloads for v in run_check(name, payload, cache=cache).violations
+        ]
     else:
+        tasks = ((name, payload) for payload in payloads)
         worker_cache = None
         if cache is not None:
             worker_cache = RecordingCache(cache.path)

@@ -1,10 +1,12 @@
-"""Canonical partition text and the append-only coefficient cache.
+"""Canonical partition text and the append-only reduced Kronecker cache.
 
 The text form is the cross-surface contract: comma-separated weakly
-decreasing positive integers, "-" for the empty partition. The cache is one
-JSON object per line so appends are crash-safe and files from different
-machines can be concatenated; values are stored as decimal strings so any
-JSON reader reparses them exactly.
+decreasing positive integers, "-" for the empty partition. The cache holds
+reduced Kronecker values only, one JSON object per line with kind "redkron",
+so appends are crash-safe and files from different machines can be
+concatenated; values are stored as decimal strings so any JSON reader
+reparses them exactly. A line of any other kind (older files hold "kron"
+and "lr" lines) is a corrupt line: skipped with a warning.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ ENGINE_VERSION = "0.1.0"
 EMPTY_TEXT = "-"
 CACHE_ENV_VAR = "KRONCAVE_CACHE"
 DEFAULT_CACHE_PATH = "./kroncave-cache.jsonl"
-
-CACHE_KINDS = ("kron", "lr", "redkron")
 
 
 def format_partition(p: Partition) -> str:
@@ -66,7 +66,7 @@ def resolve_cache_path(flag_value: str | None = None) -> str:
 
 
 def _canonical_args(lam: Partition, mu: Partition, nu: Partition):
-    # every cached coefficient kind is symmetric under swapping lam and mu
+    # a reduced Kronecker coefficient is symmetric under swapping lam and mu
     a, b = sorted((tuple(lam), tuple(mu)), key=canonical_key)
     return a, b, tuple(nu)
 
@@ -82,7 +82,7 @@ def _parse_field(text, parsed: dict) -> Partition:
 
 
 class CoefficientCache:
-    """Append-only JSONL store keyed by (kind, lam, mu, nu).
+    """Append-only JSONL store of reduced Kronecker values keyed by (lam, mu, nu).
 
     Reads tolerate corrupt or partially written lines (skipped with a
     warning), treat keys whose records disagree as misses (also with a
@@ -133,7 +133,7 @@ class CoefficientCache:
         try:
             obj = json.loads(line)
             kind = obj["kind"]
-            if kind not in CACHE_KINDS:
+            if kind != "redkron":
                 raise ValueError(f"unknown kind {kind!r}")
             lam = _parse_field(obj["lambda"], parsed)
             mu = _parse_field(obj["mu"], parsed)
@@ -147,17 +147,15 @@ class CoefficientCache:
             return None
         if version != ENGINE_VERSION:
             return None  # stale engine entries are silently ignored
-        a, b, c = _canonical_args(lam, mu, nu)
-        return (kind, a, b, c), int(text)
+        return _canonical_args(lam, mu, nu), int(text)
 
     # -- queries -----------------------------------------------------------
 
-    def get(self, kind: str, lam: Partition, mu: Partition, nu: Partition):
-        a, b, c = _canonical_args(lam, mu, nu)
-        return self._load().get((kind, a, b, c))
+    def get(self, lam: Partition, mu: Partition, nu: Partition):
+        return self._load().get(_canonical_args(lam, mu, nu))
 
-    def put(self, kind: str, lam: Partition, mu: Partition, nu: Partition, value: int):
-        key = (kind, *_canonical_args(lam, mu, nu))
+    def put(self, lam: Partition, mu: Partition, nu: Partition, value: int):
+        key = _canonical_args(lam, mu, nu)
         index = self._load()
         if index.get(key) == value:
             return
@@ -166,9 +164,9 @@ class CoefficientCache:
             self._write(key, value)
 
     def _write(self, key, value: int):
-        kind, a, b, c = key
+        a, b, c = key
         obj = {
-            "kind": kind,
+            "kind": "redkron",
             "lambda": format_partition(a),
             "mu": format_partition(b),
             "nu": format_partition(c),
@@ -197,7 +195,8 @@ class RecordingCache(CoefficientCache):
     """Cache view for scan workers: reads the shared file, buffers its writes.
 
     Workers never touch the file; the parent process drains each worker's
-    buffer of (key, value) pairs and replays them with put(*key, value).
+    buffer of ((lam, mu, nu), value) pairs and replays them with
+    put(*key, value).
     """
 
     def __init__(self, path: str):

@@ -51,7 +51,7 @@ class TestCoefficientCommands:
             "--cache", str(path),
         )
         assert code == 0 and out.strip() == "1"
-        assert CoefficientCache(str(path)).get("redkron", (1,), (1,), (1,)) == 1
+        assert CoefficientCache(str(path)).get((1,), (1,), (1,)) == 1
 
     def test_redkron_env_cache(self, capsys, tmp_path, monkeypatch):
         env_path = tmp_path / "env-cache.jsonl"
@@ -59,30 +59,6 @@ class TestCoefficientCommands:
         code, out, _ = run(capsys, "redkron", "--lambda", "1", "--mu", "-", "--nu", "1")
         assert code == 0 and out.strip() == "1"
         assert env_path.exists()
-
-    def test_kron_cache_all_roundtrip(self, capsys, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        args = ("kron", "--lambda", "2,2", "--mu", "2,2", "--nu", "2,2",
-                "--cache", str(path), "--cache-all")
-        code, out, _ = run(capsys, *args)
-        assert code == 0 and out.strip() == "1"
-        code, out, _ = run(capsys, *args)  # served from the cache
-        assert code == 0 and out.strip() == "1"
-
-    @pytest.mark.parametrize(
-        "kind, lam, mu, nu, value",
-        [("kron", "2,2", "2,2", "2,2", 1), ("lr", "2,1", "1", "2,2", 1)],
-    )
-    def test_cache_all_appends_once(self, capsys, tmp_path, kind, lam, mu, nu, value):
-        path = tmp_path / "cache.jsonl"
-        args = (kind, "--lambda", lam, "--mu", mu, "--nu", nu,
-                "--cache", str(path), "--cache-all")
-        for _ in range(2):  # the second run is served from the cache
-            code, out, _ = run(capsys, *args)
-            assert code == 0 and out.strip() == str(value)
-        assert len(path.read_text().splitlines()) == 1
-        key = tuple(tuple(map(int, p.split(","))) for p in (lam, mu, nu))
-        assert CoefficientCache(str(path)).get(kind, *key) == value
 
     def test_tensor_json(self, capsys):
         code, out, _ = run(capsys, "tensor", "--lambda", "1,1", "--mu", "1,1")

@@ -60,33 +60,33 @@ class TestCoefficientCache:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "c.jsonl"
         cache = CoefficientCache(str(path))
-        cache.put("kron", (2, 2), (2, 2), (2, 2), 1)
-        assert cache.get("kron", (2, 2), (2, 2), (2, 2)) == 1
+        cache.put((2, 2), (2, 2), (2, 2), 1)
+        assert cache.get((2, 2), (2, 2), (2, 2)) == 1
         assert path.read_text(encoding="utf-8") == (
-            '{"kind":"kron","lambda":"2,2","mu":"2,2","nu":"2,2","value":"1",'
+            '{"kind":"redkron","lambda":"2,2","mu":"2,2","nu":"2,2","value":"1",'
             f'"engineVersion":"{ENGINE_VERSION}"}}\n'
         )
 
     def test_miss_on_empty(self, tmp_path):
         cache = CoefficientCache(str(tmp_path / "c.jsonl"))
-        assert cache.get("redkron", (1,), (1,), (1,)) is None
+        assert cache.get((1,), (1,), (1,)) is None
 
     def test_reload_from_disk(self, tmp_path):
         path = str(tmp_path / "c.jsonl")
-        CoefficientCache(path).put("redkron", (3, 1), (2,), (4, 2), 7)
-        assert CoefficientCache(path).get("redkron", (3, 1), (2,), (4, 2)) == 7
+        CoefficientCache(path).put((3, 1), (2,), (4, 2), 7)
+        assert CoefficientCache(path).get((3, 1), (2,), (4, 2)) == 7
 
     def test_argument_order_is_canonicalized(self, tmp_path):
         cache = CoefficientCache(str(tmp_path / "c.jsonl"))
-        cache.put("redkron", (3, 1), (2,), (1,), 5)
-        assert cache.get("redkron", (2,), (3, 1), (1,)) == 5
+        cache.put((3, 1), (2,), (1,), 5)
+        assert cache.get((2,), (3, 1), (1,)) == 5
 
     def test_stale_engine_version_is_a_miss(self, tmp_path):
         path = tmp_path / "c.jsonl"
         stale = json.loads(redkron_line("1"))
         stale["engineVersion"] = "0.0.1"
         path.write_text(json.dumps(stale) + "\n", encoding="utf-8")
-        assert CoefficientCache(str(path)).get("redkron", (2,), (1,), (1,)) is None
+        assert CoefficientCache(str(path)).get((2,), (1,), (1,)) is None
 
     def test_corrupt_lines_skipped_with_warning(self, tmp_path, caplog):
         path = tmp_path / "c.jsonl"
@@ -97,9 +97,9 @@ class TestCoefficientCache:
         path.write_text("\n".join(lines), encoding="utf-8")
         with caplog.at_level(logging.WARNING):
             cache = CoefficientCache(str(path))
-            assert cache.get("redkron", (2,), (1,), (1,)) == 3
-            assert cache.get("redkron", (1,), (1,), (1,)) is None
-            assert cache.get("redkron", (1,), (1,), (2,)) is None
+            assert cache.get((2,), (1,), (1,)) == 3
+            assert cache.get((1,), (1,), (1,)) is None
+            assert cache.get((1,), (1,), (2,)) is None
         assert sum("skipping corrupt cache line" in r.message for r in caplog.records) == 5
 
     def test_non_string_partition_fields_are_corrupt_lines(self, tmp_path, caplog):
@@ -113,8 +113,8 @@ class TestCoefficientCache:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with caplog.at_level(logging.WARNING):
             cache = CoefficientCache(str(path))
-            assert cache.get("redkron", (2,), (1,), (1,)) == 3
-            assert cache.get("redkron", (3,), (2,), (1,)) == 2
+            assert cache.get((2,), (1,), (1,)) == 3
+            assert cache.get((3,), (2,), (1,)) == 2
             assert len(cache) == 2
         skipped = [r.message for r in caplog.records if "skipping corrupt cache line" in r.message]
         assert [m.split(": ")[0] for m in skipped] == [f"{path}:{i}" for i in range(2, 11)]
@@ -125,26 +125,26 @@ class TestCoefficientCache:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         cache = CoefficientCache(str(path))
         with caplog.at_level(logging.WARNING):
-            assert cache.get("redkron", (2,), (1,), (1,)) is None
+            assert cache.get((2,), (1,), (1,)) is None
         assert [r.message.split(": ")[0] for r in caplog.records] == [f"{path}:2"]
         assert "conflicting cache records" in caplog.records[0].message
         # a computed value is served in process, but not appended to a file
         # whose records for the key already disagree
-        cache.put("redkron", (2,), (1,), (1,), 1)
-        assert cache.get("redkron", (2,), (1,), (1,)) == 1
+        cache.put((2,), (1,), (1,), 1)
+        assert cache.get((2,), (1,), (1,)) == 1
         assert len(path.read_text(encoding="utf-8").splitlines()) == 3
 
     def test_values_survive_as_exact_integers(self, tmp_path):
         path = str(tmp_path / "c.jsonl")
         big = 12345678901234567890123456789
-        CoefficientCache(path).put("redkron", (9,), (9,), (9,), big)
-        assert CoefficientCache(path).get("redkron", (9,), (9,), (9,)) == big
+        CoefficientCache(path).put((9,), (9,), (9,), big)
+        assert CoefficientCache(path).get((9,), (9,), (9,)) == big
 
     def test_duplicate_put_appends_once(self, tmp_path):
         path = tmp_path / "c.jsonl"
         cache = CoefficientCache(str(path))
         for _ in range(3):
-            cache.put("redkron", (1,), (1,), (1,), 1)
+            cache.put((1,), (1,), (1,), 1)
         assert len(path.read_text().strip().splitlines()) == 1
 
 
@@ -166,15 +166,15 @@ class TestRecordingCache:
     def test_buffers_instead_of_writing(self, tmp_path):
         path = tmp_path / "c.jsonl"
         rec = RecordingCache(str(path))
-        rec.put("redkron", (2,), (1,), (1,), 4)
+        rec.put((2,), (1,), (1,), 4)
         assert not path.exists()
         drained = rec.drain()
-        assert drained == [(("redkron", (1,), (2,), (1,)), 4)] and rec.drain() == []
+        assert drained == [(((1,), (2,), (1,)), 4)] and rec.drain() == []
         # the parent replays the drained writes into the real store
         cache = CoefficientCache(str(path))
         for key, value in drained:
             cache.put(*key, value)
-        assert CoefficientCache(str(path)).get("redkron", (1,), (2,), (1,)) == 4
+        assert CoefficientCache(str(path)).get((1,), (2,), (1,)) == 4
 
 
 class TestCacheAgainstEngine:
