@@ -502,3 +502,23 @@ class TestErrorHandling:
         monkeypatch.setattr("kroncave.cli.kronecker", broken)
         code, _, err = run(capsys, "kron", "--lambda", "1", "--mu", "1", "--nu", "1")
         assert code == 3 and "non-integral character sum" in err
+
+
+class TestUnwritableOut:
+    """A report that cannot be written is a usage error (2), never "violations" (1)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "sort", "--lambda", "1,1", "--mu", "2"),
+            ("scan", "midpoint-reduced", "--max-boxes", "4"),
+            ("verify", "paper"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_out_exits_two(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "missing" / "report.json"
+        code, _, err = run(capsys, *argv, "--out", str(out_path))
+        assert code == 2
+        assert f"error: cannot write {out_path}: " in err
+        assert "Traceback" not in err and not out_path.exists()

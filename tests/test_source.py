@@ -1,9 +1,15 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import kroncave
 
 PACKAGE = Path(kroncave.__file__).resolve().parent
+
+# Modules only the parallel scan path needs; importing them at module level
+# puts their start-up cost on every command.
+PARALLEL_ONLY = ("concurrent.futures", "multiprocessing", "dataclasses")
 
 
 def test_package_has_no_assert_statements():
@@ -14,3 +20,60 @@ def test_package_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def module_level_imports(tree):
+    """(line, imported names) for each import that runs when the module is imported.
+
+    Function bodies run later, so imports inside them are left out; class
+    bodies and top-level if/try blocks run at import time and are walked.
+    """
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield node.lineno, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, [f"{node.module}.{alias.name}" for alias in node.names]
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_level_import_of_parallel_only_modules():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{line}"
+            for line, names in module_level_imports(tree)
+            if any(name == m or name.startswith(m + ".") for name in names for m in PARALLEL_ONLY)
+        ]
+    assert not found, sorted(found)
+
+
+FOOTPRINT_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import kroncave, kroncave.cli
+from kroncave.conjectures import run_check, scan
+sequential = scan("midpoint-reduced", 4).canonical_json()
+assert run_check("schur_lr", ((2,), (2,))).passed
+print(sorted(m for m in ("concurrent.futures.process", "multiprocessing", "dataclasses",
+                         "inspect") if m in sys.modules))
+print(scan("midpoint-reduced", 4, jobs=2).canonical_json() == sequential)
+"""
+
+
+def test_serial_commands_load_no_process_pool():
+    """Importing the package and running serial checks loads no pool modules.
+
+    python -I ignores PYTHONPATH, so the script puts the package on sys.path
+    itself. The parallel scan, run last, gives the same canonical bytes.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", FOOTPRINT_SCRIPT, str(PACKAGE.parent)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]
