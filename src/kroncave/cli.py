@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 for success (including "check passed"), 1 when a check or scan
-found violations, 2 for usage or parse errors, 3 when an internal invariant
-check failed (an engine bug). All numeric output is exact decimal.
+found violations, 2 for usage or parse errors (an --out path that cannot be
+written among them), 3 when an internal invariant check failed (an engine
+bug). All numeric output is exact decimal.
 """
 
 from __future__ import annotations
@@ -43,10 +44,18 @@ def _cache_for(args):
     return CoefficientCache(resolve_cache_path(args.cache))
 
 
+def _write(out_path: str, text: str) -> None:
+    """Write text to out_path; a path that cannot be written is a usage error."""
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise KroncaveError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(out_path, text + "\n")
     else:
         print(text)
 
@@ -153,9 +162,7 @@ def _cmd_verify(args) -> int:
                 for c in results
             ],
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write(args.out, json.dumps(payload, indent=2) + "\n")
     return 0 if all(c.passed for c in results) else 1
 
 

@@ -507,7 +507,10 @@ def stable_ring_multiply(a: VirtualRep, b: VirtualRep, *, cache=None) -> Virtual
 
 
 class CompareResult(NamedTuple):
-    """Sign classification of a - b with the partitions witnessing each sign."""
+    """Sign classification of a - b with the partitions witnessing each sign.
+
+    Both witness dicts are in canonical order.
+    """
 
     verdict: str  # "equal" | "A>=B" | "B>=A" | "incomparable"
     negative: dict  # nu -> (a-b)[nu] < 0, the witnesses against A >= B
@@ -515,9 +518,13 @@ class CompareResult(NamedTuple):
 
 
 def stable_ring_compare(a: VirtualRep, b: VirtualRep) -> CompareResult:
-    diff = a - b
-    negative = {p: c for p, c in diff.items() if c < 0}
-    positive = {p: c for p, c in diff.items() if c > 0}
+    diff = (a - b).coeffs  # zero terms are never stored
+
+    def in_canonical_order(keys):
+        return {p: diff[p] for p in sorted(keys, key=canonical_key)}
+
+    negative = in_canonical_order(p for p, c in diff.items() if c < 0)
+    positive = in_canonical_order(p for p, c in diff.items() if c > 0)
     if not negative and not positive:
         verdict = "equal"
     elif not negative:

@@ -12,8 +12,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -47,8 +45,7 @@ from .partitions import (
 from .store import RecordingCache, format_partition
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed comparison; lhs is the conjectured-larger side, lhs < rhs."""
 
     lam: str
@@ -58,12 +55,11 @@ class Violation:
     rhs: int
 
 
-@dataclass
-class ViolationReport:
+class ViolationReport(NamedTuple):
     subject: str
     pairs_scanned: int = 0
     skipped: int = 0
-    violations: list[Violation] = field(default_factory=list)
+    violations: Sequence[Violation] = ()
     elapsed_ms: int = 0
 
     @property
@@ -104,7 +100,7 @@ def _dominance_report(subject, start, lam_text, mu_text, bigger, smaller, pairs_
         pairs_scanned=pairs_scanned,
         violations=[
             Violation(lam_text, mu_text, format_partition(nu), bigger[nu], smaller[nu])
-            for nu in sorted(cmp.negative, key=canonical_key)
+            for nu in cmp.negative
         ],
         elapsed_ms=_elapsed_ms(start),
     )
@@ -426,6 +422,8 @@ def scan(
             v for payload in payloads for v in run_check(name, payload, cache=cache).violations
         ]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         tasks = ((name, payload) for payload in payloads)
         worker_cache = None
         if cache is not None:
@@ -473,8 +471,7 @@ GOLDEN_TRIPLE = ((6, 4, 2), (4, 2, 2), (8, 6, 4, 2))
 GOLDEN_TRIPLE_VALUE = 6
 
 
-@dataclass(frozen=True)
-class GoldenCheck:
+class GoldenCheck(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -300,7 +300,8 @@ class TestScan:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(conjectures, "ProcessPoolExecutor", InProcessPool)
+        # scan imports the pool class when it starts one, so patch its home.
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(conjectures, "_WORKER_CACHE", None)
         report = scan("midpoint_reduced", 4)
         expected = report.canonical_json()
