@@ -7,8 +7,9 @@ import kroncave
 
 PACKAGE = Path(kroncave.__file__).resolve().parent
 
-# Modules only the parallel scan path needs; importing them at module level
-# puts their start-up cost on every command.
+# Modules that no command needs at import time: a scan imports the process
+# pool when it starts one, and records are NamedTuples. Importing them at
+# module level puts their start-up cost on every command.
 PARALLEL_ONLY = ("concurrent.futures", "multiprocessing", "dataclasses")
 
 
@@ -31,7 +32,7 @@ def module_level_imports(tree):
     stack = list(tree.body)
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         if isinstance(node, ast.Import):
             yield node.lineno, [alias.name for alias in node.names]
