@@ -63,6 +63,7 @@ from .partitions import (
     canonical_key,
     conjugate,
     double_hook_decompose,
+    dvir_inequalities,
     hook_lengths,
     interleave_split,
     midpoint,

@@ -11,6 +11,15 @@ for, so each character is looked up once per clear_caches(). A pair
 class size * chi_lam * chi_mu on it. A single coefficient gathers nu's row on
 that support, so a sum at S_30 never pays for a whole row.
 
+Before any character is looked up, kronecker returns 0 for a triple that
+fails one of Dvir's six bounds (partitions.dvir_inequalities). Dvir
+(J. Algebra 154, 1993) proves that g(lam, mu, nu) != 0 implies
+len(nu) <= |lam & mu'|, the cells lam shares with mu'; the symmetry of g in
+its arguments and g(lam, mu, nu) = g(lam', mu, nu') give the other five, such
+as nu1 <= |lam & mu|. They never rule out a nonzero value, and on a cold
+10-box midpoint-reduced scan they rule out 3,314 of the 3,783 zero reduced
+values at both padded sizes, so those cost no class sum.
+
 A whole S_n tensor product lam (x) mu is one class sum over a packed
 character table (Kronecker substitution). Class rho's column is one integer
 whose i-th slot of w bytes holds chi_{nu_i}(rho), for the partitions nu_i of
@@ -56,6 +65,8 @@ from .partitions import (
     EMPTY,
     Partition,
     canonical_key,
+    conjugate,
+    dvir_inequalities,
     murnaghan_inequalities,
     pad,
     part,
@@ -89,6 +100,7 @@ def clear_caches() -> None:
     DEFAULT_TABLE.clear()
     _mask.cache_clear()
     class_sizes.cache_clear()
+    conjugate.cache_clear()
     partitions_of.cache_clear()
 
 
@@ -161,6 +173,8 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         raise SizeMismatch(f"sizes differ: {sum(lam)}, {sum(mu)}, {sum(nu)}")
+    if not dvir_inequalities(lam, mu, nu):
+        return 0
     return _class_sum(*_pair_weights(lam, mu), nu, n)
 
 
@@ -280,15 +294,18 @@ def tensor_decompose(lam: Partition, mu: Partition) -> VirtualRep:
         data = total.to_bytes(width * len(table.rows), "little")
     except OverflowError:
         raise InvariantViolation(f"packed class sum left its slots in S_{n}") from None
-    coeffs = {}
+    # the keys are partitions_of(n), so the result skips VirtualRep's size check
+    rep = VirtualRep(n=n)
     for start, nu in zip(range(0, len(data), width), partitions_of(n)):
         value = int.from_bytes(data[start : start + width], "little") - half
         if not -bound <= value <= bound:
             raise InvariantViolation(
                 f"class sum {value} for {nu} in S_{n} is past the slot bound {bound}"
             )
-        coeffs[nu] = _multiplicity(value, nu, n)
-    return VirtualRep(coeffs, n)
+        value = _multiplicity(value, nu, n)
+        if value:
+            rep.coeffs[nu] = value
+    return rep
 
 
 @lru_cache(maxsize=None)

@@ -57,6 +57,7 @@ def pad(p: Partition, d: int) -> Partition:
     return (head,) + p
 
 
+@lru_cache(maxsize=None)
 def conjugate(p: Partition) -> Partition:
     if not p:
         return EMPTY
@@ -155,6 +156,32 @@ def murnaghan_inequalities(lam: Partition, mu: Partition, nu: Partition) -> bool
     """All three triangle inequalities on the sizes."""
     a, b, c = sum(lam), sum(mu), sum(nu)
     return a <= b + c and b <= a + c and c <= a + b
+
+
+def _overlap(lam: Partition, mu: Partition) -> int:
+    """Number of cells the two diagrams share: the size of their intersection."""
+    return sum(map(min, lam, mu))
+
+
+def dvir_inequalities(lam: Partition, mu: Partition, nu: Partition) -> bool:
+    """Dvir's maximal-length bounds, which every nonzero g(lam, mu, nu) meets.
+
+    Dvir (J. Algebra 154, 1993): g(lam, mu, nu) != 0 implies that len(nu) is
+    at most the number of cells lam shares with mu'. The symmetry of g in its
+    three arguments and g(lam, mu, nu) = g(lam', mu, nu') give five more: the
+    lengths of lam and mu against the other two pairs, and each first row
+    against the cells the other two share without conjugation. Sizes are not
+    compared here.
+    """
+    lam_c, mu_c, nu_c = conjugate(lam), conjugate(mu), conjugate(nu)
+    return (
+        len(nu) <= _overlap(lam, mu_c)
+        and len(lam) <= _overlap(mu, nu_c)
+        and len(mu) <= _overlap(lam, nu_c)
+        and len(nu_c) <= _overlap(lam, mu)
+        and len(lam_c) <= _overlap(mu, nu)
+        and len(mu_c) <= _overlap(lam, nu)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -32,6 +32,7 @@ from kroncave.conjectures import scan
 from kroncave.errors import InvariantViolation, PadTooSmall, SizeMismatch
 from kroncave.partitions import (
     conjugate,
+    dvir_inequalities,
     murnaghan_inequalities,
     part,
     partitions_of,
@@ -156,6 +157,54 @@ class TestTensorDecompose:
             fixed * fixed
         with pytest.raises(TypeError):
             VirtualStableRep.single((1,)) * fixed
+
+
+def _cells_shared(lam, mu):
+    return sum(min(a, b) for a, b in zip(lam, mu))
+
+
+class TestDvirBounds:
+    """kronecker skips the class sum where dvir_inequalities fails; the
+    packed tensor_decompose never consults the bounds, so it is the witness."""
+
+    def test_bounds_against_packed_products(self):
+        clear_caches()
+        for n in range(10):
+            shapes = partitions_of(n)
+            for lam in shapes:
+                for mu in shapes:
+                    rep = tensor_decompose(lam, mu)
+                    allowed = [nu for nu in shapes if dvir_inequalities(lam, mu, nu)]
+                    for nu in shapes:
+                        assert kronecker(lam, mu, nu) == rep[nu], (lam, mu, nu)
+                        if nu not in allowed:
+                            assert rep[nu] == 0, (lam, mu, nu)
+                    # Dvir's maximum is attained, and the bounds admit nothing past it
+                    longest = _cells_shared(lam, conjugate(mu))
+                    widest = _cells_shared(lam, mu)
+                    assert max(len(nu) for nu in rep.coeffs) == longest, (lam, mu)
+                    assert max(len(nu) for nu in allowed) == longest, (lam, mu)
+                    assert max(part(nu, 1) for nu in rep.coeffs) == widest, (lam, mu)
+                    assert max(part(nu, 1) for nu in allowed) == widest, (lam, mu)
+
+    def test_bounds_have_the_symmetries_of_g(self):
+        """Each of the six bounds is the nu bound moved by a symmetry of g, so
+        the test is invariant under permuting the triple and under
+        (lam, mu, nu) -> (lam', mu, nu')."""
+        for n in range(8):
+            shapes = partitions_of(n)
+            for triple in itertools.product(shapes, repeat=3):
+                holds = dvir_inequalities(*triple)
+                for lam, mu, nu in itertools.permutations(triple):
+                    assert dvir_inequalities(lam, mu, nu) == holds, triple
+                    assert dvir_inequalities(conjugate(lam), mu, conjugate(nu)) == holds, triple
+
+    def test_pruned_triple_looks_up_no_character(self):
+        clear_caches()
+        assert kronecker((5,), (5,), (1,) * 5) == 0
+        assert len(DEFAULT_TABLE) == 0
+        assert coefficients._ROWS == {}
+        assert coefficients._PAIR_WEIGHTS == {}
 
 
 class TestJacobiTrudiOracle:
@@ -296,8 +345,9 @@ class TestRowStore:
     def test_scan_asks_each_character_once(self, monkeypatch):
         requests = _character_requests(monkeypatch, 6)
         assert [key for key, calls in requests.items() if calls > 1] == []
-        # only the characters the sums need, with their recursion: no whole rows of nu
-        assert len(DEFAULT_TABLE) == 7829
+        # only the characters the sums need, with their recursion: no whole rows
+        # of nu, and none for the triples that dvir_inequalities rules out
+        assert len(DEFAULT_TABLE) == 4861
 
     def test_count_guard_sees_repeated_rows(self, monkeypatch):
         """The guard above fails when each sum evaluates nu on every class again."""
