@@ -81,7 +81,6 @@ from .store import (
     ENGINE_VERSION,
     format_partition,
     parse_partition_text,
-    resolve_cache_path,
 )
 
 __version__ = "0.1.0"

@@ -33,15 +33,11 @@ from .conjectures import (
 )
 from .errors import InvariantViolation, KroncaveError
 from .partitions import pad
-from .store import CoefficientCache, format_partition, parse_partition_text, resolve_cache_path
+from .store import CoefficientCache, format_partition, parse_partition_text
 
 
 def _partition_flag(parser, flag, dest, required=True, help_text="partition text, e.g. 3,1 or -"):
     parser.add_argument(flag, dest=dest, type=parse_partition_text, required=required, help=help_text)
-
-
-def _cache_for(args):
-    return CoefficientCache(resolve_cache_path(args.cache))
 
 
 def _write(out_path: str, text: str) -> None:
@@ -73,24 +69,14 @@ def _decomposition_json(items) -> str:
 
 
 def _cmd_coefficient(args) -> int:
-    """kron and lr: args.compute names the function."""
+    """kron, lr and redkron: args.compute names the function."""
     print(args.compute(args.lam, args.mu, args.nu))
     return 0
 
 
-def _cmd_redkron(args) -> int:
-    print(reduced_kronecker(args.lam, args.mu, args.nu, cache=_cache_for(args)))
-    return 0
-
-
-def _cmd_tensor(args) -> int:
-    rep = tensor_decompose(args.lam, args.mu)
-    _emit(_decomposition_json(rep.items()), args.out)
-    return 0
-
-
-def _cmd_redtensor(args) -> int:
-    rep = reduced_tensor_decompose(args.lam, args.mu, cache=_cache_for(args))
+def _cmd_decompose(args) -> int:
+    """tensor and redtensor: args.compute names the function."""
+    rep = args.compute(args.lam, args.mu)
     _emit(_decomposition_json(rep.items()), args.out)
     return 0
 
@@ -119,7 +105,7 @@ def _cmd_closed_form(args) -> int:
 
 def _cmd_check(args) -> int:
     payload = args.part if args.conjecture == "chain" else (args.lam, args.mu)
-    report = run_check(args.conjecture, payload, cache=_cache_for(args))
+    report = run_check(args.conjecture, payload)
     return _report_exit(report, args.out)
 
 
@@ -133,17 +119,14 @@ def _cmd_dim_log_concavity(args) -> int:
 
 
 def _cmd_saturation(args) -> int:
-    values = check_saturation(
-        args.lam, args.mu, args.nu, args.k_max, args.mode, cache=_cache_for(args)
-    )
+    values = check_saturation(args.lam, args.mu, args.nu, args.k_max, args.mode)
     _emit(json.dumps([[k, nonzero] for k, nonzero in values], indent=2), args.out)
     return 0
 
 
 def _cmd_scan(args) -> int:
-    report = scan(
-        args.conjecture, args.max_boxes, jobs=args.jobs, chain_n=args.n, cache=_cache_for(args)
-    )
+    cache = CoefficientCache(args.cache) if args.cache is not None else None
+    report = scan(args.conjecture, args.max_boxes, jobs=args.jobs, chain_n=args.n, cache=cache)
     return _report_exit(report, args.out)
 
 
@@ -184,28 +167,21 @@ def build_parser() -> argparse.ArgumentParser:
     for name, compute, help_text in (
         ("kron", kronecker, "Kronecker coefficient of three same-size partitions"),
         ("lr", lr_coefficient, "Littlewood-Richardson coefficient"),
+        ("redkron", reduced_kronecker, "reduced (stable) Kronecker coefficient"),
     ):
         p = sub.add_parser(name, help=help_text)
         triple(p)
         p.set_defaults(handler=_cmd_coefficient, compute=compute)
 
-    p = sub.add_parser("redkron", help="reduced (stable) Kronecker coefficient")
-    triple(p)
-    p.add_argument("--cache", default=None)
-    p.set_defaults(handler=_cmd_redkron)
-
-    p = sub.add_parser("tensor", help="full S_n tensor product decomposition")
-    _partition_flag(p, "--lambda", "lam")
-    _partition_flag(p, "--mu", "mu")
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_tensor)
-
-    p = sub.add_parser("redtensor", help="stable product of two classes")
-    _partition_flag(p, "--lambda", "lam")
-    _partition_flag(p, "--mu", "mu")
-    p.add_argument("--cache", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_redtensor)
+    for name, compute, help_text in (
+        ("tensor", tensor_decompose, "full S_n tensor product decomposition"),
+        ("redtensor", reduced_tensor_decompose, "stable product of two classes"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _partition_flag(p, "--lambda", "lam")
+        _partition_flag(p, "--mu", "mu")
+        p.add_argument("--out", default=None)
+        p.set_defaults(handler=_cmd_decompose, compute=compute)
 
     p = sub.add_parser("char", help="irreducible character value on a cycle type")
     _partition_flag(p, "--lambda", "lam")
@@ -244,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             _partition_flag(c, "--lambda", "lam")
             _partition_flag(c, "--mu", "mu")
-        c.add_argument("--cache", default=None)
         c.add_argument("--out", default=None)
         c.set_defaults(handler=_cmd_check)
     c = checks.add_parser("dim-log-concavity")
@@ -259,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     _partition_flag(c, "--nu", "nu")
     c.add_argument("--k-max", dest="k_max", type=int, required=True)
     c.add_argument("--mode", choices=("kronecker", "reduced"), default="reduced")
-    c.add_argument("--cache", default=None)
     c.add_argument("--out", default=None)
     c.set_defaults(handler=_cmd_saturation)
 
@@ -268,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-boxes", dest="max_boxes", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--n", type=int, default=3, help="tuple length for chain scans")
-    p.add_argument("--cache", default=None)
+    p.add_argument("--cache", default=None,
+                   help="JSONL file of reduced Kronecker values to read and append")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_scan)
 

@@ -187,8 +187,6 @@ def check_saturation(
     nu: Partition,
     k_max: int,
     mode: str = "reduced",
-    *,
-    cache=None,
 ) -> list[tuple[int, bool]]:
     """Nonvanishing of the coefficient along the scaled triples k=1..k_max."""
     if mode not in ("kronecker", "reduced"):
@@ -201,7 +199,7 @@ def check_saturation(
         if mode == "kronecker":
             value = kronecker(*scaled)
         else:
-            value = reduced_kronecker(*scaled, cache=cache)
+            value = reduced_kronecker(*scaled)
         out.append((k, value != 0))
     return out
 
@@ -241,11 +239,9 @@ def check_murnaghan_littlewood(budget: int, *, cache=None) -> ViolationReport:
     scanned = 0
     violations = []
     for lam, mu in _pairs_with_total(budget):
-        total = sum(lam) + sum(mu)
-        block = reduced_tensor_decompose(lam, mu, cache=cache)
         product = lr_expand(lam, mu)
-        for nu in sorted(partitions_of(total)):
-            reduced = block[nu]
+        for nu in sorted(partitions_of(sum(lam) + sum(mu))):
+            reduced = reduced_kronecker(lam, mu, nu, cache=cache)
             lr = product.get(nu, 0)
             scanned += 1
             if reduced != lr:

@@ -7,13 +7,16 @@ so appends are crash-safe and files from different machines can be
 concatenated; values are stored as decimal strings so any JSON reader
 reparses them exactly. A line of any other kind (older files hold "kron"
 and "lr" lines) is a corrupt line: skipped with a warning.
+
+A cache is only ever the file its caller names: the CLI attaches one for
+`scan --cache PATH` alone, and no default file or environment variable
+stands in for it.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import os
 
 from .errors import PartitionParseError, StoreIOError
 from .partitions import Partition, canonical_key
@@ -27,8 +30,6 @@ log = logging.getLogger(__name__)
 
 ENGINE_VERSION = "0.1.0"
 EMPTY_TEXT = "-"
-CACHE_ENV_VAR = "KRONCAVE_CACHE"
-DEFAULT_CACHE_PATH = "./kroncave-cache.jsonl"
 
 
 def format_partition(p: Partition) -> str:
@@ -56,13 +57,6 @@ def parse_partition_text(s: str) -> Partition:
         parts.append(value)
         pos += len(token) + 1
     return tuple(parts)
-
-
-def resolve_cache_path(flag_value: str | None = None) -> str:
-    """Flag beats the KRONCAVE_CACHE environment variable beats the default."""
-    if flag_value:
-        return flag_value
-    return os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_PATH
 
 
 def _canonical_args(lam: Partition, mu: Partition, nu: Partition):

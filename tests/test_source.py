@@ -13,13 +13,34 @@ PACKAGE = Path(kroncave.__file__).resolve().parent
 PARALLEL_ONLY = ("concurrent.futures", "multiprocessing", "dataclasses")
 
 
-def test_package_has_no_assert_statements():
-    """Invariant checks are explicit exceptions, so they still run under python -O."""
+def package_nodes(matches):
+    """file:line of every syntax node in the package for which matches(node) holds."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if matches(node)]
+    return found
+
+
+def test_package_has_no_assert_statements():
+    """Invariant checks are explicit exceptions, so they still run under python -O."""
+    found = package_nodes(lambda node: isinstance(node, ast.Assert))
+    assert not found, found
+
+
+def reads_environment(node):
+    """os.environ or os.getenv, as an attribute or a name imported from os."""
+    names = ("environ", "getenv")
+    if isinstance(node, ast.Attribute):
+        return node.attr in names and isinstance(node.value, ast.Name) and node.value.id == "os"
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and any(alias.name in names for alias in node.names)
+    return False
+
+
+def test_package_reads_no_environment_variable():
+    """Flags and arguments are the only settings, so no variable can change an answer."""
+    found = package_nodes(reads_environment)
     assert not found, found
 
 

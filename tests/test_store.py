@@ -14,7 +14,6 @@ from kroncave.store import (
     RecordingCache,
     format_partition,
     parse_partition_text,
-    resolve_cache_path,
 )
 
 
@@ -146,20 +145,6 @@ class TestCoefficientCache:
         for _ in range(3):
             cache.put((1,), (1,), (1,), 1)
         assert len(path.read_text().strip().splitlines()) == 1
-
-
-class TestCachePathResolution:
-    def test_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("KRONCAVE_CACHE", "/tmp/env.jsonl")
-        assert resolve_cache_path("/tmp/flag.jsonl") == "/tmp/flag.jsonl"
-
-    def test_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv("KRONCAVE_CACHE", "/tmp/env.jsonl")
-        assert resolve_cache_path(None) == "/tmp/env.jsonl"
-
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("KRONCAVE_CACHE", raising=False)
-        assert resolve_cache_path(None) == "./kroncave-cache.jsonl"
 
 
 class TestRecordingCache:
