@@ -91,6 +91,13 @@ class TestCharacter:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             character((2, 1), (2, 2))
+        warm = {}
+        character_value((2, 1), (1, 1, 1), warm)
+        character_value((1,), (1,), warm)
+        for memo in (None, {}, warm):
+            for rho in ((2, 2), (1,)):
+                with pytest.raises(SizeMismatch):
+                    character_value((2, 1), rho, memo)
 
     def test_conjugate_twists_by_sign(self):
         for n in range(9):

@@ -1,8 +1,10 @@
+import hashlib
+
 import pytest
 
 from kroncave.closed_forms import ReachQuery, reach_count, reduced_hook, reduced_two_row
 from kroncave.coefficients import reduced_kronecker
-from kroncave.partitions import partitions_of
+from kroncave.partitions import partitions_of, partitions_up_to
 
 from oracles import gamma_count_bruteforce
 
@@ -112,6 +114,25 @@ class TestReducedHook:
                         assert reduced_hook(j, k, nu) == reduced_kronecker(
                             one_column(j), one_column(k), nu
                         ), (j, k, nu)
+
+
+class TestClosedFormPin:
+    """Both closed forms over far more inputs than the engine comparisons reach.
+
+    The digest covers reduced_hook for 1 <= j, k <= 12, then reduced_two_row
+    for 0 <= j, k <= 12, each at every nu with |nu| <= 14 in the order of
+    partitions_up_to: 159,004 values. A rewrite of either function must keep
+    every one of them.
+    """
+
+    DIGEST = "4e631f187c7f7411d1d6e9dec7074ee578adc2f9a59f6e54647bd4fbba31372a"
+
+    def test_values_pinned(self):
+        targets = list(partitions_up_to(14))
+        values = [reduced_hook(j, k, nu) for j in range(1, 13) for k in range(1, 13) for nu in targets]
+        values += [reduced_two_row(j, k, nu) for j in range(13) for k in range(13) for nu in targets]
+        assert len(values) == 159_004
+        assert hashlib.sha256(",".join(map(str, values)).encode()).hexdigest() == self.DIGEST
 
 
 class TestIntervalInequalities:
