@@ -7,7 +7,6 @@ engine behind them stabilizes padded character sums.
 """
 
 from kroncave import (
-    ReachQuery,
     format_partition,
     partitions_of,
     reach_count,
@@ -17,8 +16,8 @@ from kroncave import (
 )
 
 print("reach count example: rectangle [2,4]x[1,3], source (4,2)")
-q = ReachQuery(a=2, b=2, c=1, d=2, x=4, y=2)
-print(f"  {reach_count(q)} reachable lattice points (the source counts itself)")
+count = reach_count(a=2, b=2, c=1, d=2, x=4, y=2)
+print(f"  {count} reachable lattice points (the source counts itself)")
 
 print("\nrow pair (2),(4): closed form vs engine over all targets up to 6 boxes")
 for size in range(7):

@@ -7,7 +7,7 @@ every product here is computed.
 """
 
 from kroncave import (
-    VirtualStableRep,
+    VirtualRep,
     format_partition,
     kronecker_sequence,
     reduced_tensor_decompose,
@@ -15,8 +15,8 @@ from kroncave import (
     stable_ring_multiply,
 )
 
-one = VirtualStableRep.single(())
-std = VirtualStableRep.single((1,))
+one = VirtualRep.single(())
+std = VirtualRep.single((1,))
 
 print("the square of the standard class [1]:")
 square = stable_ring_multiply(std, std)

@@ -10,11 +10,10 @@ from .characters import (
     class_sizes,
     dimension,
 )
-from .closed_forms import ReachQuery, reach_count, reduced_hook, reduced_two_row
+from .closed_forms import reach_count, reduced_hook, reduced_two_row
 from .coefficients import (
     CompareResult,
     VirtualRep,
-    VirtualStableRep,
     clear_caches,
     kostka,
     kronecker,
@@ -57,12 +56,10 @@ from .errors import (
 )
 from .partitions import (
     EMPTY,
-    DoubleHookShape,
     Partition,
     as_partition,
     canonical_key,
     conjugate,
-    double_hook_decompose,
     dvir_inequalities,
     hook_lengths,
     interleave_split,

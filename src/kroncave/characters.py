@@ -108,11 +108,24 @@ def character_value(
 ) -> int:
     """Character of the irreducible labelled lam on the class with these cycles.
 
-    cycles must be sorted weakly decreasing and sum to |lam|. Pass a dict to
-    memoize across calls (keyed by cycles, then by beta-set mask); None gives
-    this call a memo of its own.
+    cycles must be sorted weakly decreasing and sum to |lam| (SizeMismatch
+    otherwise). Pass a dict to memoize across calls (keyed by cycles, then by
+    beta-set mask); None gives this call a memo of its own.
     """
-    return _chi(_mask(lam), tuple(cycles), {} if memo is None else memo)
+    cycles = tuple(cycles)
+    mask = _mask(lam)
+    if memo is None:
+        memo = {}
+    # A row of cycles holds only shapes of size |cycles|, so a hit needs no
+    # size check.
+    row = memo.get(cycles)
+    if row is not None:
+        hit = row.get(mask)
+        if hit is not None:
+            return hit
+    if sum(lam) != sum(cycles):
+        raise SizeMismatch(f"|lam|={sum(lam)} but cycle type has size {sum(cycles)}")
+    return _chi(mask, cycles, memo)
 
 
 class CharacterTable:
@@ -126,26 +139,7 @@ class CharacterTable:
         self._memo: dict = {}
 
     def character(self, lam: Partition, rho) -> int:
-        cycles = tuple(rho)
-        mask = _mask(lam)
-        # A row of cycles holds only shapes of size |cycles|, so a hit needs
-        # no size check.
-        row = self._memo.get(cycles)
-        if row is not None:
-            hit = row.get(mask)
-            if hit is not None:
-                return hit
-        if sum(lam) != sum(cycles):
-            raise SizeMismatch(f"|lam|={sum(lam)} but cycle type has size {sum(cycles)}")
-        return _chi(mask, cycles, self._memo)
-
-    def dimension(self, lam: Partition) -> int:
-        """Character on the identity class, checked against the hook count."""
-        value = self.character(lam, (1,) * sum(lam))
-        expected = syt_count(lam)
-        if value != expected:
-            raise InvariantViolation(f"dimension mismatch for {lam}: {value} != {expected}")
-        return value
+        return character_value(lam, rho, self._memo)
 
     def clear(self):
         self._memo.clear()
@@ -163,4 +157,9 @@ def character(lam: Partition, rho) -> int:
 
 
 def dimension(lam: Partition) -> int:
-    return DEFAULT_TABLE.dimension(lam)
+    """Character on the identity class, checked against the hook count."""
+    value = character(lam, (1,) * sum(lam))
+    expected = syt_count(lam)
+    if value != expected:
+        raise InvariantViolation(f"dimension mismatch for {lam}: {value} != {expected}")
+    return value

@@ -15,7 +15,7 @@ import sys
 
 from .characters import dimension as char_dimension
 from .characters import character
-from .closed_forms import ReachQuery, reach_count, reduced_hook, reduced_two_row
+from .closed_forms import reach_count, reduced_hook, reduced_two_row
 from .coefficients import (
     kronecker,
     lr_coefficient,
@@ -36,8 +36,8 @@ from .partitions import pad
 from .store import CoefficientCache, format_partition, parse_partition_text
 
 
-def _partition_flag(parser, flag, dest, required=True, help_text="partition text, e.g. 3,1 or -"):
-    parser.add_argument(flag, dest=dest, type=parse_partition_text, required=required, help=help_text)
+def _partition_flag(parser, flag, dest, help_text="partition text, e.g. 3,1 or -"):
+    parser.add_argument(flag, dest=dest, type=parse_partition_text, required=True, help=help_text)
 
 
 def _write(out_path: str, text: str) -> None:
@@ -57,7 +57,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _report_exit(report, out_path) -> int:
-    _emit(report.to_json(indent=2), out_path)
+    _emit(report.to_json(), out_path)
     return 0 if report.passed else 1
 
 
@@ -94,8 +94,7 @@ def _cmd_dim(args) -> int:
 
 def _cmd_closed_form(args) -> int:
     if args.form == "gamma":
-        query = ReachQuery(args.a, args.b, args.c, args.d, args.x, args.y)
-        print(reach_count(query))
+        print(reach_count(args.a, args.b, args.c, args.d, args.x, args.y))
     elif args.form == "two-row":
         print(reduced_two_row(args.j, args.k, args.nu))
     else:

@@ -10,25 +10,7 @@ step set; the characteristic conditions are plain inequalities on halves).
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .partitions import Partition, double_hook_decompose, pad, part
-
-
-class ReachQuery(NamedTuple):
-    """Rectangle [a, a+b] x [c, c+d] with a walk source at (x, y).
-
-    A point (u, v) is reachable from (x, y) by unit steps south-west and
-    north-west, zero steps allowed: u <= x, |v - y| <= x - u, and v - y has
-    the parity of x - u.
-    """
-
-    a: int
-    b: int
-    c: int
-    d: int
-    x: int
-    y: int
+from .partitions import Partition, part
 
 
 def _count_with_parity(lo: int, hi: int, parity: int) -> int:
@@ -40,14 +22,18 @@ def _count_with_parity(lo: int, hi: int, parity: int) -> int:
     return (hi - first) // 2 + 1
 
 
-def reach_count(q: ReachQuery) -> int:
-    """Lattice points of the rectangle (within N^2) reachable from the source."""
+def reach_count(a: int, b: int, c: int, d: int, x: int, y: int) -> int:
+    """Lattice points of [a, a+b] x [c, c+d] (within N^2) reachable from (x, y).
+
+    A point (u, v) is reachable by unit steps south-west and north-west, zero
+    steps allowed: u <= x, |v - y| <= x - u, and v - y has the parity of x - u.
+    """
     total = 0
-    for u in range(max(q.a, 0), min(q.a + q.b, q.x) + 1):
-        s = q.x - u
-        lo = max(q.c, q.y - s, 0)
-        hi = min(q.c + q.d, q.y + s)
-        total += _count_with_parity(lo, hi, (q.y + s) % 2)
+    for u in range(max(a, 0), min(a + b, x) + 1):
+        s = x - u
+        lo = max(c, y - s, 0)
+        hi = min(c + d, y + s)
+        total += _count_with_parity(lo, hi, (y + s) % 2)
     return total
 
 
@@ -66,16 +52,19 @@ def reduced_two_row(j: int, k: int, nu: Partition) -> int:
     if j > k:
         j, k = k, j  # the count assumes the smaller row first
     v1, v2, v3 = part(nu, 1), part(nu, 2), part(nu, 3)
-    return reach_count(ReachQuery(v2 + v3, v1 - v2, v1 + v3 + 1, v2 - v3, j, k + 1))
+    return reach_count(v2 + v3, v1 - v2, v1 + v3 + 1, v2 - v3, j, k + 1)
 
 
 def reduced_hook(j: int, k: int, nu: Partition) -> int:
     """Reduced Kronecker coefficient of two one-column shapes (1^j), (1^k) at nu.
 
-    Always 0, 1, or 2. Case split on the padded target: empty, hook,
-    double hook, or none of these (which forces 0). The double-hook case
-    probes an explicit padding large enough that the top row plays the role
-    of the unbounded part.
+    Always 0, 1, or 2, by a case split on nu. The empty target gives
+    [j == k]. A single column of d boxes gives 1 exactly when j, k and d meet
+    the triangle inequalities. Otherwise nu1 >= 2, and the value is 0 unless
+    every part of the tail nu[1:] is 1 or 2. With d1 ones in the tail and
+    half = j + k - 2 * (twos in the tail) - d1, it is
+
+      [2(nu1 - 1) <= half and |k - j| <= d1] + [2 nu1 <= half + 1 and |k - j| <= d1 + 1].
     """
     if j < 1 or k < 1:
         raise ValueError("column heights must be positive")
@@ -86,11 +75,12 @@ def reduced_hook(j: int, k: int, nu: Partition) -> int:
         # padded shape is a single hook with leg |nu|
         d = len(nu)
         return int(j <= d + k and d <= j + k and k <= j + d)
-    probe = pad(nu, sum(nu) + max(nu[0], 3) + j + k)
-    dh = double_hook_decompose(probe)
-    if dh is None:
+    tail = nu[1:]
+    if any(x >= 3 for x in tail):
         return 0  # not contained in any double hook once padded
-    half = j + k - dh.x
-    first = int(2 * (dh.n3 - 1) <= half <= 2 * dh.n4 and abs(k - j) <= dh.d1)
-    second = int(2 * dh.n3 <= half + 1 <= 2 * dh.n4 and abs(k - j) <= dh.d1 + 1)
+    d1 = tail.count(1)
+    half = j + k - 2 * tail.count(2) - d1
+    spread = abs(k - j)
+    first = int(2 * (nu[0] - 1) <= half and spread <= d1)
+    second = int(2 * nu[0] <= half + 1 and spread <= d1 + 1)
     return first + second

@@ -8,8 +8,10 @@ characters.class_sizes(n) gives their sizes in that order. Character rows
 over those classes live in one store, filled only at the classes a sum asks
 for, so each character is looked up once per clear_caches(). A pair
 (lam, mu) keeps its support, the classes where chi_lam * chi_mu != 0, with
-class size * chi_lam * chi_mu on it. A single coefficient gathers nu's row on
-that support, so a sum at S_30 never pays for a whole row.
+class size * chi_lam * chi_mu on it. The pair's first shape fills its whole
+row, which fixes the support; the other shape and nu are filled only on it.
+So the padded golden triple fills one whole row at each of S_29 and S_30,
+and partial ones for the rest (2,448 and 1,898 of 4,565 classes at S_29).
 
 Before any character is looked up, kronecker returns 0 for a triple that
 fails one of Dvir's six bounds (partitions.dvir_inequalities). Dvir
@@ -62,7 +64,6 @@ from typing import Iterable, NamedTuple
 from .characters import DEFAULT_TABLE, _mask, class_sizes
 from .errors import InvariantViolation, SizeMismatch
 from .partitions import (
-    EMPTY,
     Partition,
     canonical_key,
     conjugate,
@@ -201,8 +202,8 @@ class VirtualRep:
         self.coeffs = cleaned
 
     @classmethod
-    def single(cls, p: Partition, coeff: int = 1) -> "VirtualRep":
-        return cls({tuple(p): coeff})
+    def single(cls, p: Partition) -> "VirtualRep":
+        return cls({tuple(p): 1})
 
     def __getitem__(self, p: Partition) -> int:
         return self.coeffs.get(tuple(p), 0)
@@ -239,9 +240,6 @@ class VirtualRep:
     def __repr__(self):
         n = "" if self.n is None else f"n={self.n}, "
         return f"VirtualRep({n}{dict(self.items())!r})"
-
-
-VirtualStableRep = VirtualRep
 
 
 class _PackedTable(NamedTuple):

@@ -80,8 +80,8 @@ class ViolationReport(NamedTuple):
             out["elapsedMillis"] = self.elapsed_ms
         return out
 
-    def to_json(self, indent: int | None = 2, include_elapsed: bool = True) -> str:
-        return json.dumps(self.to_json_dict(include_elapsed), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
     def canonical_json(self) -> str:
         """Byte-stable serialization: identical inputs give identical bytes."""

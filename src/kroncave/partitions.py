@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .errors import InvariantViolation, NotIntegral, PadTooSmall
 
@@ -126,30 +126,6 @@ def syt_count(p: Partition) -> int:
     if rest:
         raise InvariantViolation(f"hook product does not divide {sum(p)}!")
     return value
-
-
-class DoubleHookShape(NamedTuple):
-    """Shape (n4, n3, 2^d2, 1^d1): two distinguished rows over a tail of 2s and 1s."""
-
-    d1: int
-    d2: int
-    n3: int
-    n4: int
-    x: int  # 2*d2 + d1
-
-
-def double_hook_decompose(p: Partition) -> DoubleHookShape | None:
-    """Split off the two largest parts; succeed only if the tail is all 1s and 2s.
-
-    Equivalently the shape has at most two parts >= 3. Returns None otherwise;
-    that is a normal outcome, not an error.
-    """
-    tail = p[2:]
-    if any(x >= 3 for x in tail):
-        return None
-    d2 = sum(1 for x in tail if x == 2)
-    d1 = sum(1 for x in tail if x == 1)
-    return DoubleHookShape(d1=d1, d2=d2, n3=part(p, 2), n4=part(p, 1), x=2 * d2 + d1)
 
 
 def murnaghan_inequalities(lam: Partition, mu: Partition, nu: Partition) -> bool:

@@ -13,9 +13,9 @@ from contextlib import contextmanager
 import pytest
 
 from kroncave.characters import character, class_sizes
-from kroncave.closed_forms import ReachQuery, reach_count, reduced_hook, reduced_two_row
+from kroncave.closed_forms import reach_count, reduced_hook, reduced_two_row
 from kroncave.coefficients import (
-    VirtualStableRep,
+    VirtualRep,
     clear_caches,
     kronecker,
     kronecker_sequence,
@@ -333,10 +333,10 @@ def test_criterion_10_property_suites():
         # stable ring associativity and commutativity, sizes <= 3
         singles = [p for s in range(4) for p in partitions_of(s)]
         for a, b in itertools.combinations_with_replacement(singles, 2):
-            A, B = VirtualStableRep.single(a), VirtualStableRep.single(b)
+            A, B = VirtualRep.single(a), VirtualRep.single(b)
             assert stable_ring_multiply(A, B) == stable_ring_multiply(B, A)
         for a, b, c in itertools.combinations_with_replacement(singles, 3):
-            A, B, C = (VirtualStableRep.single(p) for p in (a, b, c))
+            A, B, C = (VirtualRep.single(p) for p in (a, b, c))
             left = stable_ring_multiply(stable_ring_multiply(A, B), C)
             right = stable_ring_multiply(A, stable_ring_multiply(B, C))
             assert left == right, (a, b, c)
@@ -360,7 +360,7 @@ def test_criterion_10_property_suites():
                                     if a <= u <= a + b and c <= v <= c + d
                                 )
                                 assert (
-                                    reach_count(ReachQuery(a, b, c, d, x, y)) == expected
+                                    reach_count(a, b, c, d, x, y) == expected
                                 ), (a, b, c, d, x, y)
 
         # rounding midpoints conjugate onto the sorted splits, sizes <= 8

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from kroncave.closed_forms import ReachQuery, reach_count, reduced_hook, reduced_two_row
+from kroncave.closed_forms import reach_count, reduced_hook, reduced_two_row
 from kroncave.coefficients import reduced_kronecker
 from kroncave.partitions import partitions_of, partitions_up_to
 
@@ -19,13 +19,13 @@ def one_column(j):
 
 class TestReachCount:
     def test_unreachable_rectangle(self):
-        assert reach_count(ReachQuery(5, 1, 1, 1, 3, 9)) == 0
+        assert reach_count(5, 1, 1, 1, 3, 9) == 0
 
     def test_four_point_example(self):
-        assert reach_count(ReachQuery(2, 2, 1, 2, 4, 2)) == 4
+        assert reach_count(2, 2, 1, 2, 4, 2) == 4
 
     def test_source_itself_counts(self):
-        assert reach_count(ReachQuery(3, 0, 5, 0, 3, 5)) == 1
+        assert reach_count(3, 0, 5, 0, 3, 5) == 1
 
     def test_bruteforce_small_grid(self):
         for x in range(6):
@@ -34,7 +34,7 @@ class TestReachCount:
                     for b in range(4):
                         for c in range(5):
                             for d in range(4):
-                                assert reach_count(ReachQuery(a, b, c, d, x, y)) == (
+                                assert reach_count(a, b, c, d, x, y) == (
                                     gamma_count_bruteforce(a, b, c, d, x, y)
                                 )
 
@@ -49,9 +49,9 @@ class TestReachCount:
                         for b in range(3):
                             for c in range(5):
                                 for d in range(3):
-                                    q_near = ReachQuery(a, b, c, d, j, k + 1)
-                                    q_far = ReachQuery(a, b, c, d, i, l + 1)
-                                    assert reach_count(q_near) >= reach_count(q_far)
+                                    near = reach_count(a, b, c, d, j, k + 1)
+                                    far = reach_count(a, b, c, d, i, l + 1)
+                                    assert near >= far
 
 
 class TestReducedTwoRow:

@@ -14,7 +14,6 @@ from kroncave import coefficients
 from kroncave.characters import DEFAULT_TABLE, CharacterTable, dimension
 from kroncave.coefficients import (
     VirtualRep,
-    VirtualStableRep,
     clear_caches,
     kostka,
     kronecker,
@@ -145,7 +144,7 @@ class TestTensorDecompose:
 
     def test_fixed_n_and_stable_reps_do_not_mix(self):
         fixed = tensor_decompose((1, 1), (1, 1))
-        stable = VirtualStableRep.single((2,))
+        stable = VirtualRep.single((2,))
         with pytest.raises(SizeMismatch):
             fixed + stable
         with pytest.raises(SizeMismatch):
@@ -156,7 +155,7 @@ class TestTensorDecompose:
         with pytest.raises(TypeError):
             fixed * fixed
         with pytest.raises(TypeError):
-            VirtualStableRep.single((1,)) * fixed
+            VirtualRep.single((1,)) * fixed
 
 
 def _cells_shared(lam, mu):
@@ -602,20 +601,20 @@ class TestReducedTensorDecompose:
 class TestStableRing:
     def test_identity_element(self):
         a = reduced_tensor_decompose((2,), (1,))
-        one = VirtualStableRep.single(())
+        one = VirtualRep.single(())
         assert stable_ring_multiply(a, one) == a
 
     def test_square_of_standard_class(self):
-        a = VirtualStableRep.single((1,))
+        a = VirtualRep.single((1,))
         product = stable_ring_multiply(a, a)
         assert dict(product.items()) == {(): 1, (1,): 1, (1, 1): 1, (2,): 1}
 
     def test_star_is_the_stable_product(self):
-        a = VirtualStableRep.single((1,))
+        a = VirtualRep.single((1,))
         assert a * a == stable_ring_multiply(a, a)
 
     def test_associativity_instance(self):
-        a = VirtualStableRep.single((1,))
+        a = VirtualRep.single((1,))
         left = stable_ring_multiply(stable_ring_multiply(a, a), a)
         right = stable_ring_multiply(a, stable_ring_multiply(a, a))
         assert left == right
@@ -627,15 +626,15 @@ class TestStableRing:
         assert not result.negative and not result.positive
 
     def test_compare_dominating(self):
-        a = VirtualStableRep({(): 1, (1,): 2})
-        b = VirtualStableRep({(1,): 1})
+        a = VirtualRep({(): 1, (1,): 2})
+        b = VirtualRep({(1,): 1})
         result = stable_ring_compare(a, b)
         assert result.verdict == "A>=B"
         assert result.negative == {}
 
     def test_compare_incomparable(self):
-        a = VirtualStableRep.single((2,))
-        b = VirtualStableRep.single((1, 1))
+        a = VirtualRep.single((2,))
+        b = VirtualRep.single((1, 1))
         result = stable_ring_compare(a, b)
         assert result.verdict == "incomparable"
         assert set(result.negative) == {(1, 1)}

@@ -5,11 +5,9 @@ from hypothesis import given, strategies as st
 
 from kroncave.errors import NotIntegral, PadTooSmall
 from kroncave.partitions import (
-    DoubleHookShape,
     as_partition,
     canonical_key,
     conjugate,
-    double_hook_decompose,
     hook_lengths,
     interleave_split,
     midpoint,
@@ -190,30 +188,6 @@ class TestSytCount:
 
     def test_hook_lengths_multiset(self):
         assert sorted(hook_lengths((2, 2))) == [1, 2, 2, 3]
-
-
-class TestDoubleHook:
-    def test_two_big_rows(self):
-        assert double_hook_decompose((7, 3)) == DoubleHookShape(0, 0, 3, 7, 0)
-
-    def test_generic(self):
-        assert double_hook_decompose((5, 4, 2, 2, 1)) == DoubleHookShape(1, 2, 4, 5, 5)
-
-    def test_three_parts_at_least_three(self):
-        assert double_hook_decompose((4, 3, 3, 1)) is None
-        assert double_hook_decompose((7, 3, 3)) is None
-
-    def test_reassembly_and_x(self):
-        for p in partitions_up_to(9):
-            dh = double_hook_decompose(p)
-            if dh is None:
-                assert sum(1 for x in p if x >= 3) > 2
-                continue
-            rebuilt = tuple(
-                x for x in (dh.n4, dh.n3) + (2,) * dh.d2 + (1,) * dh.d1 if x
-            )
-            assert rebuilt == p
-            assert dh.x == 2 * dh.d2 + dh.d1
 
 
 class TestMurnaghanInequalities:

@@ -13,18 +13,51 @@ PACKAGE = Path(kroncave.__file__).resolve().parent
 PARALLEL_ONLY = ("concurrent.futures", "multiprocessing", "dataclasses")
 
 
+def package_trees():
+    """(file name, syntax tree) of every module in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
 def package_nodes(matches):
     """file:line of every syntax node in the package for which matches(node) holds."""
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if matches(node)]
-    return found
+    return [
+        f"{name}:{node.lineno}"
+        for name, tree in package_trees()
+        for node in ast.walk(tree)
+        if matches(node)
+    ]
 
 
 def test_package_has_no_assert_statements():
     """Invariant checks are explicit exceptions, so they still run under python -O."""
     found = package_nodes(lambda node: isinstance(node, ast.Assert))
+    assert not found, found
+
+
+def unused_imports(tree):
+    """(line, name) for each name an import binds that the module never reads."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, (a.asname or a.name).split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in read]
+
+
+def test_package_modules_import_only_what_they_use():
+    """An import nothing reads is dead weight on every command's start-up.
+
+    __init__.py is left out: its imports are the package's exports.
+    """
+    found = [
+        f"{name}:{line} {unused}"
+        for name, tree in package_trees()
+        if name != "__init__.py"
+        for line, unused in unused_imports(tree)
+    ]
     assert not found, found
 
 
@@ -63,14 +96,12 @@ def module_level_imports(tree):
 
 
 def test_no_module_level_import_of_parallel_only_modules():
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += [
-            f"{path.name}:{line}"
-            for line, names in module_level_imports(tree)
-            if any(name == m or name.startswith(m + ".") for name in names for m in PARALLEL_ONLY)
-        ]
+    found = [
+        f"{name}:{line}"
+        for name, tree in package_trees()
+        for line, names in module_level_imports(tree)
+        if any(n == m or n.startswith(m + ".") for n in names for m in PARALLEL_ONLY)
+    ]
     assert not found, sorted(found)
 
 
