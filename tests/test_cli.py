@@ -123,6 +123,15 @@ class TestCheckAndScan:
         )
         assert code == 0 and json.loads(out)["holds"] is True
 
+    @pytest.mark.parametrize("k_max", ["0", "-1"])
+    def test_check_saturation_needs_a_positive_k_max(self, capsys, k_max):
+        code, out, err = run(
+            capsys, "check", "saturation",
+            "--lambda", "1", "--mu", "1", "--nu", "1", "--k-max", k_max,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
     def test_check_saturation(self, capsys):
         code, out, _ = run(
             capsys, "check", "saturation",
@@ -174,6 +183,12 @@ class TestCheckAndScan:
         code, out, err = run(capsys, "scan", "chain", "--max-boxes", "2", "--n", n)
         assert code == 2 and out == ""
         assert err == "error: need at least one partition\n"
+
+    @pytest.mark.parametrize("name", ["midpoint-reduced", "midpoint-kronecker", "sort", "schur-lr"])
+    def test_only_chain_takes_n(self, capsys, name):
+        code, out, err = run(capsys, "scan", name, "--max-boxes", "2", "--n", "0")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --n 0" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -403,12 +418,30 @@ def leaf_options(parser, path=()):
 
 
 class TestCacheSurface:
-    """Only scan takes --cache, and nothing takes --cache-all."""
+    """Only the scans that compare stable products take --cache; nothing takes --cache-all."""
 
     def test_cache_flags_by_subcommand(self):
         options = dict(leaf_options(build_parser()))
         assert [cmd for cmd, opts in options.items() if "--cache-all" in opts] == []
-        assert [cmd for cmd, opts in options.items() if "--cache" in opts] == ["scan"]
+        assert [cmd for cmd, opts in options.items() if "--cache" in opts] == [
+            "scan midpoint-reduced", "scan sort", "scan chain"
+        ]
+
+    @pytest.mark.parametrize("name", sorted(SCANS))
+    def test_each_scan_takes_only_the_flags_its_check_reads(self, name):
+        options = dict(leaf_options(build_parser()))
+        expected = {"-h", "--help", "--max-boxes", "--jobs", "--out"}
+        expected |= {"--n"} if name == "chain" else set()
+        expected |= {"--cache"} if SCANS[name].stable else set()
+        assert options[f"scan {name.replace('_', '-')}"] == expected
+
+    @pytest.mark.parametrize("name", ["midpoint-kronecker", "schur-lr"])
+    def test_fixed_size_scans_reject_cache(self, capsys, tmp_path, name):
+        path = tmp_path / "values.jsonl"
+        code, out, err = run(capsys, "scan", name, "--max-boxes", "4", "--cache", str(path))
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --cache" in err
+        assert not path.exists()
 
     @pytest.mark.parametrize("argv", SINGLE_INPUT_COMMANDS, ids=command_id)
     def test_cache_flag_is_a_usage_error(self, capsys, argv):

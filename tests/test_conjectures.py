@@ -33,6 +33,8 @@ from kroncave.partitions import (
 )
 from kroncave.store import CoefficientCache, parse_partition_text
 
+from oracles import jacobi_trudi_kronecker
+
 
 def box_move_count(source, target):
     """Ways to turn source into target by removing one corner and adding one box.
@@ -180,6 +182,11 @@ class TestSaturation:
         with pytest.raises(ValueError):
             check_saturation((1,), (1,), (1,), 1, "other")
 
+    @pytest.mark.parametrize("k_max", [0, -1])
+    def test_k_max_below_one_rejected(self, k_max):
+        with pytest.raises(ValueError, match="k_max"):
+            check_saturation((1,), (1,), (1,), k_max)
+
 
 class TestDimLogConcavity:
     def test_equal_pair_is_equality(self):
@@ -267,6 +274,23 @@ class TestScan:
         report = scan("midpoint_kronecker", 16)
         pairs = {(v.lam, v.mu) for v in report.violations}
         assert ("2,2,2,2", "4,4") in pairs
+
+    def test_midpoint_kronecker_witnesses_agree_with_jacobi_trudi(self):
+        """Both sides of every S_n violation up to 26 boxes, without a character.
+
+        The oracle expands its second argument, and g is symmetric, so the
+        shape with the fewest rows goes second."""
+
+        def oracle(*shapes):
+            longest, middle, shortest = sorted(shapes, key=len, reverse=True)
+            return jacobi_trudi_kronecker(longest, shortest, middle)
+
+        report = scan("midpoint_kronecker", 26)
+        assert len(report.violations) == 19
+        for v in report.violations:
+            lam, mu, nu = map(parse_partition_text, (v.lam, v.mu, v.nu))
+            mid = midpoint(lam, mu, "exact")
+            assert (oracle(mid, mid, nu), oracle(lam, mu, nu)) == (v.lhs, v.rhs), v
 
     def test_deterministic_across_job_counts(self):
         sequential = scan("midpoint_reduced", 6, jobs=1)
