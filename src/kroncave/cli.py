@@ -68,9 +68,9 @@ def _decomposition_json(items) -> str:
 # -- handlers -----------------------------------------------------------------
 
 
-def _cmd_coefficient(args) -> int:
-    """kron, lr and redkron: args.compute names the function."""
-    print(args.compute(args.lam, args.mu, args.nu))
+def _cmd_value(args) -> int:
+    """Commands that print one number: args.compute(args) computes it."""
+    print(args.compute(args))
     return 0
 
 
@@ -78,27 +78,6 @@ def _cmd_decompose(args) -> int:
     """tensor and redtensor: args.compute names the function."""
     rep = args.compute(args.lam, args.mu)
     _emit(_decomposition_json(rep.items()), args.out)
-    return 0
-
-
-def _cmd_char(args) -> int:
-    print(character(args.lam, args.rho))
-    return 0
-
-
-def _cmd_dim(args) -> int:
-    shape = pad(args.lam, args.d) if args.d is not None else args.lam
-    print(char_dimension(shape))
-    return 0
-
-
-def _cmd_closed_form(args) -> int:
-    if args.form == "gamma":
-        print(reach_count(args.a, args.b, args.c, args.d, args.x, args.y))
-    elif args.form == "two-row":
-        print(reduced_two_row(args.j, args.k, args.nu))
-    else:
-        print(reduced_hook(args.j, args.k, args.nu))
     return 0
 
 
@@ -163,14 +142,14 @@ def build_parser() -> argparse.ArgumentParser:
         _partition_flag(p, "--mu", "mu")
         _partition_flag(p, "--nu", "nu")
 
-    for name, compute, help_text in (
+    for name, coefficient, help_text in (
         ("kron", kronecker, "Kronecker coefficient of three same-size partitions"),
         ("lr", lr_coefficient, "Littlewood-Richardson coefficient"),
         ("redkron", reduced_kronecker, "reduced (stable) Kronecker coefficient"),
     ):
         p = sub.add_parser(name, help=help_text)
         triple(p)
-        p.set_defaults(handler=_cmd_coefficient, compute=compute)
+        p.set_defaults(handler=_cmd_value, compute=lambda a, f=coefficient: f(a.lam, a.mu, a.nu))
 
     for name, compute, help_text in (
         ("tensor", tensor_decompose, "full S_n tensor product decomposition"),
@@ -185,33 +164,39 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("char", help="irreducible character value on a cycle type")
     _partition_flag(p, "--lambda", "lam")
     _partition_flag(p, "--rho", "rho", help_text="cycle type as partition text")
-    p.set_defaults(handler=_cmd_char)
+    p.set_defaults(handler=_cmd_value, compute=lambda a: character(a.lam, a.rho))
 
     p = sub.add_parser("dim", help="dimension (standard tableau count), optionally padded")
     _partition_flag(p, "--lambda", "lam")
     p.add_argument("--d", type=int, default=None, help="pad to a partition of d first")
-    p.set_defaults(handler=_cmd_dim)
+    p.set_defaults(
+        handler=_cmd_value,
+        compute=lambda a: char_dimension(pad(a.lam, a.d) if a.d is not None else a.lam),
+    )
 
     p = sub.add_parser("closed-form", help="closed-form special family values")
     forms = p.add_subparsers(dest="form", required=True)
     g = forms.add_parser("gamma", help="rectangle reach count")
     for flag in ("--a", "--b", "--c", "--d", "--x", "--y"):
         g.add_argument(flag, dest=flag[2:], type=int, required=True)
-    g.set_defaults(handler=_cmd_closed_form)
-    tr = forms.add_parser("two-row", help="two one-row shapes")
-    tr.add_argument("--j", type=int, required=True)
-    tr.add_argument("--k", type=int, required=True)
-    _partition_flag(tr, "--nu", "nu")
-    tr.set_defaults(handler=_cmd_closed_form)
-    hk = forms.add_parser("hook", help="two one-column shapes")
-    hk.add_argument("--j", type=int, required=True)
-    hk.add_argument("--k", type=int, required=True)
-    _partition_flag(hk, "--nu", "nu")
-    hk.set_defaults(handler=_cmd_closed_form)
+    g.set_defaults(handler=_cmd_value, compute=lambda a: reach_count(a.a, a.b, a.c, a.d, a.x, a.y))
+    for form, family, help_text in (
+        ("two-row", reduced_two_row, "two one-row shapes"),
+        ("hook", reduced_hook, "two one-column shapes"),
+    ):
+        p = forms.add_parser(form, help=help_text)
+        p.add_argument("--j", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        _partition_flag(p, "--nu", "nu")
+        p.set_defaults(handler=_cmd_value, compute=lambda a, f=family: f(a.j, a.k, a.nu))
 
+    # check and scan get one subcommand per SCANS row. A scan takes --n only
+    # for chain, and --cache only where its check compares stable products.
     p = sub.add_parser("check", help="run one conjecture check on a single input")
     checks = p.add_subparsers(dest="conjecture", required=True)
-    for name in SCANS:
+    p = sub.add_parser("scan", help="scan a conjecture over all pairs within a box budget")
+    scans = p.add_subparsers(dest="conjecture", required=True)
+    for name, row in SCANS.items():
         c = checks.add_parser(name.replace("_", "-"))
         if name == "chain":
             c.add_argument("--part", action="append", type=parse_partition_text, required=True,
@@ -221,6 +206,16 @@ def build_parser() -> argparse.ArgumentParser:
             _partition_flag(c, "--mu", "mu")
         c.add_argument("--out", default=None)
         c.set_defaults(handler=_cmd_check)
+        s = scans.add_parser(name.replace("_", "-"))
+        s.add_argument("--max-boxes", dest="max_boxes", type=int, required=True)
+        s.add_argument("--jobs", type=int, default=1)
+        if name == "chain":
+            s.add_argument("--n", type=int, help="tuple length")
+        if row.stable:
+            s.add_argument("--cache",
+                           help="JSONL file of reduced Kronecker values to read and append")
+        s.add_argument("--out", default=None)
+        s.set_defaults(handler=_cmd_scan, n=3, cache=None)
     c = checks.add_parser("dim-log-concavity")
     _partition_flag(c, "--lambda", "lam")
     _partition_flag(c, "--mu", "mu")
@@ -235,16 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--mode", choices=("kronecker", "reduced"), default="reduced")
     c.add_argument("--out", default=None)
     c.set_defaults(handler=_cmd_saturation)
-
-    p = sub.add_parser("scan", help="scan a conjecture over all pairs within a box budget")
-    p.add_argument("conjecture", choices=[n.replace("_", "-") for n in SCANS])
-    p.add_argument("--max-boxes", dest="max_boxes", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--n", type=int, default=3, help="tuple length for chain scans")
-    p.add_argument("--cache", default=None,
-                   help="JSONL file of reduced Kronecker values to read and append")
-    p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_scan)
 
     p = sub.add_parser("verify", help="run a named golden verification suite")
     p.add_argument("suite", choices=("paper",))

@@ -189,6 +189,8 @@ def check_saturation(
     mode: str = "reduced",
 ) -> list[tuple[int, bool]]:
     """Nonvanishing of the coefficient along the scaled triples k=1..k_max."""
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     if mode not in ("kronecker", "reduced"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "kronecker" and not (sum(lam) == sum(mu) == sum(nu)):
@@ -318,6 +320,7 @@ def _has_exact_midpoint(lam: Partition, mu: Partition) -> bool:
 class ScanRow(NamedTuple):
     payloads: Callable[[int, int], Iterable]  # (max_boxes, chain_n) -> payloads
     exact_midpoint: bool  # dispatch only pairs with an exact midpoint
+    stable: bool  # the check compares stable products, so a cache can serve it
     check: Callable[..., ViolationReport]  # (payload, cache) -> report
 
 
@@ -325,18 +328,21 @@ class ScanRow(NamedTuple):
 # at call time, so rebinding a module global reaches every scan.
 SCANS = {
     "midpoint_reduced": ScanRow(
-        _pairs, True, lambda pair, cache: check_midpoint_reduced(*pair, cache=cache)
+        _pairs, True, True, lambda pair, cache: check_midpoint_reduced(*pair, cache=cache)
     ),
     "midpoint_kronecker": ScanRow(
-        _equal_size_pairs, True, lambda pair, cache: check_midpoint_kronecker(*pair)
+        _equal_size_pairs, True, False, lambda pair, cache: check_midpoint_kronecker(*pair)
     ),
-    "sort": ScanRow(_pairs, False, lambda pair, cache: check_sort_conjecture(*pair, cache=cache)),
+    "sort": ScanRow(
+        _pairs, False, True, lambda pair, cache: check_sort_conjecture(*pair, cache=cache)
+    ),
     "chain": ScanRow(
         _multisets_with_total,
         False,
+        True,
         lambda parts, cache: check_chain_conjecture(parts, cache=cache),
     ),
-    "schur_lr": ScanRow(_pairs, True, lambda pair, cache: check_schur_log_concavity(*pair)),
+    "schur_lr": ScanRow(_pairs, True, False, lambda pair, cache: check_schur_log_concavity(*pair)),
 }
 
 _WORKER_CACHE = None

@@ -51,7 +51,7 @@ def pad(p: Partition, d: int) -> Partition:
     head = d - sum(p)
     first = p[0] if p else 0
     if head < first:
-        raise PadTooSmall(f"need d >= {sum(p) + first} to pad {p or '()'} , got {d}")
+        raise PadTooSmall(f"need d >= {sum(p) + first} to pad {p or '()'}, got {d}")
     if head == 0:
         return p  # only possible for the empty partition
     return (head,) + p
