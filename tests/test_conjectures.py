@@ -255,6 +255,12 @@ class TestScan:
         with pytest.raises(ValueError, match="at least one partition"):
             scan("chain", 2, chain_n=n)
 
+    @pytest.mark.parametrize("name, n", [("sort", 0), ("midpoint-kronecker", -5)])
+    def test_every_scan_needs_at_least_one_part(self, name, n):
+        """chain_n is checked on every row, not only on the row that reads it."""
+        with pytest.raises(ValueError, match="at least one partition"):
+            scan(name, 2, chain_n=n)
+
     @pytest.mark.parametrize("max_boxes, jobs", [(-1, 1), (2, 0), (2, -4)])
     def test_negative_budget_or_no_jobs_rejected(self, max_boxes, jobs):
         with pytest.raises(ValueError):

@@ -130,3 +130,48 @@ def test_serial_commands_load_no_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "True"]
+
+
+# The functions that may name the character row store: every class sum reads
+# a row through _row_on or _full_row, so there is one path through a row.
+ROW_STORE_USERS = {"_row_on", "_full_row", "_packed_table", "clear_caches"}
+
+
+def uses_outside(tree, name, allowed):
+    """Lines where name is read or written outside the functions in allowed.
+
+    A module-level assignment to name, which creates it, is left out.
+    """
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        named = (
+            (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.alias) and (node.asname or node.name) == name)
+        )
+        if named and function not in allowed:
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    for statement in tree.body:
+        if isinstance(statement, ast.AnnAssign):
+            targets = [statement.target]
+        else:
+            targets = getattr(statement, "targets", [])
+        if targets and all(isinstance(t, ast.Name) and t.id == name for t in targets):
+            continue
+        visit(statement, None)
+    return found
+
+
+def test_character_rows_are_read_only_through_row_on():
+    found = [
+        f"{name}:{line}"
+        for name, tree in package_trees()
+        for line in uses_outside(tree, "_ROWS", ROW_STORE_USERS)
+    ]
+    assert not found, found
