@@ -129,10 +129,10 @@ def character_value(
 
 
 class CharacterTable:
-    """A shared memo store for character evaluations.
+    """The engine's one character memo, DEFAULT_TABLE.
 
-    Evaluation is pure; several workers may each own a table, or share one
-    with externally synchronized insertion, and must get identical values.
+    coefficients._row_on fills character rows through character, so each
+    value is evaluated at most once per clear_caches().
     """
 
     def __init__(self):

@@ -6,7 +6,9 @@ arithmetic bugs fail loudly instead of rounding. The classes of S_n are the
 partitions of n, indexed in the order of partitions_of(n), and
 characters.class_sizes(n) gives their sizes in that order. Character rows
 over those classes live in one store, filled only at the classes a sum asks
-for, so each character is looked up once per clear_caches(). A pair
+for, so each character is looked up once per clear_caches(). Every read of
+a row goes through _row_on, which fills it on the classes asked for, or
+_full_row, which fills all of them. A pair
 (lam, mu) keeps its support, the classes where chi_lam * chi_mu != 0, with
 class size * chi_lam * chi_mu on it. The pair's first shape fills its whole
 row, which fixes the support; the other shape and nu are filled only on it.
@@ -81,7 +83,6 @@ _ROWS: dict = {}
 _PACKED: dict = {}
 # (lam, mu) -> (support, weights): the class indices where chi_lam * chi_mu
 # != 0, ascending, and class size * chi_lam * chi_mu at each of them.
-# Values are table-independent exact integers, so one shared store is safe.
 _PAIR_WEIGHTS: dict = {}
 # (pair key, nu) -> stable value
 _REDUCED_MEMO: dict = {}
@@ -136,7 +137,7 @@ def _pair_weights(lam: Partition, mu: Partition):
     a, b = key
     row_a = _full_row(a)
     support = [i for i, x in enumerate(row_a) if x]
-    row_b = row_a if a == b else _row_on(b, support)
+    row_b = _row_on(b, support)
     support = tuple(i for i in support if row_b[i])
     sizes = class_sizes(sum(a))
     weights = tuple(sizes[i] * row_a[i] * row_b[i] for i in support)
@@ -157,15 +158,8 @@ def _multiplicity(total: int, nu: Partition, n: int) -> int:
 def _class_sum(support, weights, nu: Partition, n: int) -> int:
     """Multiplicity of nu: nu's row gathered on the pair's support, dotted with
     the pair's weights, over n!."""
-    row = _ROWS.get(nu)
-    if row is not None:
-        try:
-            total = sum(map(mul, map(row.__getitem__, support), weights))
-        except TypeError:  # None * weight: a hole on this support
-            row = None
-    if row is None:
-        row = _row_on(nu, support)
-        total = sum(map(mul, map(row.__getitem__, support), weights))
+    row = _row_on(nu, support)
+    total = sum(map(mul, map(row.__getitem__, support), weights))
     return _multiplicity(total, nu, n)
 
 
@@ -340,7 +334,6 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
         (r, c) for r in range(rows) for c in range(nu[r] - 1, inner[r] - 1, -1)
     ]
     values = len(mu)
-    remaining = list(mu)
     counts = [0] * (values + 1)
     grid = [[0] * width for _ in range(rows)]  # 0 marks unfilled / inner cells
 
@@ -352,17 +345,15 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
         above = grid[r - 1][c] if r > 0 and c >= inner[r - 1] else 0
         total = 0
         for v in range(above + 1, right + 1):
-            if remaining[v - 1] == 0:
+            if counts[v] == mu[v - 1]:
                 continue
             if v > 1 and counts[v] >= counts[v - 1]:
                 continue  # lattice prefix would break
-            remaining[v - 1] -= 1
             counts[v] += 1
             grid[r][c] = v
             total += place(idx + 1)
             grid[r][c] = 0
             counts[v] -= 1
-            remaining[v - 1] += 1
         return total
 
     return place(0)

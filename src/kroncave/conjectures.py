@@ -286,8 +286,6 @@ def _multisets_with_total(max_boxes: int, n: int) -> Iterator[tuple]:
     At most max_boxes parts are non-empty, so the empty parts lead, most
     first, and the recursion runs over the non-empty ones only.
     """
-    if n < 1:
-        raise ValueError("need at least one partition")
     pool = list(partitions_up_to(max_boxes))[1:]  # non-empty, size-major ascending
 
     def rec(start: int, remaining: int, chosen: tuple):
@@ -409,6 +407,8 @@ def scan(
         raise ValueError(f"max_boxes must be >= 0, got {max_boxes}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if chain_n < 1:
+        raise ValueError("need at least one partition")
     name = conjecture.replace("-", "_")
     start = time.monotonic()
     candidates = list(row.payloads(max_boxes, chain_n))
