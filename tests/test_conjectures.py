@@ -22,7 +22,7 @@ from kroncave.conjectures import (
     run_golden_suite,
     scan,
 )
-from kroncave.errors import NotIntegral, SizeMismatch
+from kroncave.errors import KroncaveError, NotIntegral, SizeMismatch
 from kroncave.partitions import (
     midpoint,
     murnaghan_inequalities,
@@ -434,6 +434,89 @@ class TestPinnedReports:
     def test_scan_report_bytes(self, name, max_boxes, digest):
         report = scan(name, max_boxes).canonical_json()
         assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+def sha256(text):
+    return hashlib.sha256(text if isinstance(text, bytes) else text.encode()).hexdigest()
+
+
+class TestPinnedChecks:
+    """The report of one check, on every payload a scan row enumerates, is
+    pinned byte for byte, as are the errors of bad inputs and the cache file
+    a cold scan writes; a refactor of the checks must leave each unchanged."""
+
+    @pytest.mark.parametrize(
+        "name, max_boxes, n, digest",
+        [
+            ("midpoint_reduced", 7, None, "ce29d1267e4a438243bf266352106a91663560eb1efcccdac8783298d6afa87d"),
+            ("midpoint_kronecker", 14, None, "133660cd2d8782b3e804e8de2beb5f4a90764c4af0493a0904f551aeb913313d"),
+            ("sort", 7, None, "d80733483c475701c328109442fda555ec1a0ae1b24be16763462116878e3c6e"),
+            ("schur_lr", 7, None, "6f998355b28bf472a7bbf43a9969def0062268211abd204206bfa5a3b5a535b6"),
+            ("chain", 7, 1, "4fb6177210391885463b9ec533773d1b8f9a344a1037bfe1ce620a9ecbdaadda"),
+            ("chain", 7, 2, "6f9a7e3d3c1038c3d2921bd8b20d0a1a0ecb4da4701d469bfa7dbdc88203f9f4"),
+            ("chain", 7, 3, "8159e14008b75927cc41bbf7ef2772fea12123113f21fab1db6cf46449d3d18b"),
+        ],
+    )
+    def test_check_report_bytes(self, name, max_boxes, n, digest):
+        """One line per payload: its canonical report, or the error it raises.
+
+        This pins each check's subject, its violation texts (';'-joined for
+        chain) and what it counts as scanned (targets for schur_lr)."""
+        if n is None:
+            payloads = conjectures._pairs_with_total(max_boxes, name == "midpoint_kronecker")
+        else:
+            payloads = conjectures._multisets_with_total(max_boxes, n)
+        lines = []
+        for payload in payloads:
+            try:
+                lines.append(conjectures.run_check(name, payload).canonical_json())
+            except KroncaveError as exc:
+                lines.append(f"{type(exc).__name__}: {exc}")
+        assert sha256("\n".join(lines)) == digest
+
+    @pytest.mark.parametrize(
+        "check, payload, error, message",
+        [
+            ("midpoint_kronecker", ((2,), (1,)), SizeMismatch, "sizes differ: 2 vs 1"),
+            ("midpoint_reduced", ((2,), (1, 1)), NotIntegral, "component 1 sums to odd value 3"),
+            ("midpoint_kronecker", ((2,), (1, 1)), NotIntegral, "component 1 sums to odd value 3"),
+            ("schur_lr", ((2,), (1, 1)), NotIntegral, "component 1 sums to odd value 3"),
+            ("chain", (), ValueError, "need at least one partition"),
+        ],
+    )
+    def test_bad_input_errors(self, check, payload, error, message):
+        exported = {
+            "midpoint_reduced": check_midpoint_reduced,
+            "midpoint_kronecker": check_midpoint_kronecker,
+            "schur_lr": check_schur_log_concavity,
+        }
+        calls = [lambda: conjectures.run_check(check, payload)]
+        if check == "chain":
+            calls.append(lambda: check_chain_conjecture(list(payload)))
+        else:
+            calls.append(lambda: exported[check](*payload))
+        for call in calls:
+            with pytest.raises(error) as info:
+                call()
+            assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "name, max_boxes, line_count, digest",
+        [
+            ("midpoint_reduced", 6, 304, "f0cbc11ca7fff9799f456d11a5571c7c2856e2b4bec5dce38b1e856ee0264a20"),
+            ("sort", 5, 354, "6198db17d6b00ba770bfce320d8c96c4b34c1aaea447a2016e3efcbf838bb42a"),
+            ("chain", 5, 354, "44b8f58c85cac46e143f66ee4f84a81bdc798cf02fd75f295993c1fec85b13ca"),
+        ],
+    )
+    def test_cold_cache_file_bytes(self, tmp_path, name, max_boxes, line_count, digest):
+        """A cold serial scan appends its records in evaluation order, so
+        these bytes change if a check computes its two sides in another order."""
+        clear_caches()
+        path = tmp_path / "values.jsonl"
+        scan(name, max_boxes, cache=CoefficientCache(str(path)))
+        data = path.read_bytes()
+        assert data.count(b"\n") == line_count
+        assert sha256(data) == digest
 
 
 class TestGoldenSuite:

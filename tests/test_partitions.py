@@ -166,6 +166,12 @@ class TestInterleaveSplit:
         for p in partitions_up_to(8):
             assert tuple(interleave_split(p, 2)) == sort_split(p, ())
 
+    def test_two_way_split_of_a_merged_pair_is_sort_split(self):
+        """The sort scan is the interleave rule on pairs because of this identity."""
+        for lam in partitions_up_to(8):
+            for mu in partitions_up_to(8 - sum(lam)):
+                assert tuple(interleave_split(union_parts(lam, mu), 2)) == sort_split(lam, mu)
+
 
 class TestSytCount:
     def test_single_row(self):
