@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import kroncave
+from kroncave.conjectures import SCANS
 
 PACKAGE = Path(kroncave.__file__).resolve().parent
 
@@ -174,4 +175,19 @@ def test_character_rows_are_read_only_through_row_on():
         for name, tree in package_trees()
         for line in uses_outside(tree, "_ROWS", ROW_STORE_USERS)
     ]
+    assert not found, found
+
+
+ROW_NAMES = {spelling for name in SCANS for spelling in (name, name.replace("_", "-"))}
+
+
+def compares_to_a_row_name(node):
+    """A comparison with a SCANS row name, spelled with '_' or '-', as a string literal."""
+    operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+    return any(isinstance(o, ast.Constant) and o.value in ROW_NAMES for o in operands)
+
+
+def test_no_module_branches_on_a_row_name():
+    """What a scan row needs is a fact of its SCANS entry, so a new row is one edit."""
+    found = package_nodes(compares_to_a_row_name)
     assert not found, found
