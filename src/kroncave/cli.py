@@ -82,7 +82,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    payload = args.part if args.conjecture == "chain" else (args.lam, args.mu)
+    payload = (args.lam, args.mu) if args.pairs else args.part
     report = run_check(args.conjecture, payload)
     return _report_exit(report, args.out)
 
@@ -190,26 +190,27 @@ def build_parser() -> argparse.ArgumentParser:
         _partition_flag(p, "--nu", "nu")
         p.set_defaults(handler=_cmd_value, compute=lambda a, f=family: f(a.j, a.k, a.nu))
 
-    # check and scan get one subcommand per SCANS row. A scan takes --n only
-    # for chain, and --cache only where its check compares stable products.
+    # check and scan get one subcommand per SCANS row. A row whose payloads
+    # are n-tuples takes --part in check and --n in scan; a scan takes --cache
+    # only where its check compares stable products.
     p = sub.add_parser("check", help="run one conjecture check on a single input")
     checks = p.add_subparsers(dest="conjecture", required=True)
     p = sub.add_parser("scan", help="scan a conjecture over all pairs within a box budget")
     scans = p.add_subparsers(dest="conjecture", required=True)
     for name, row in SCANS.items():
         c = checks.add_parser(name.replace("_", "-"))
-        if name == "chain":
-            c.add_argument("--part", action="append", type=parse_partition_text, required=True,
-                           help="repeatable partition text")
-        else:
+        if row.pairs:
             _partition_flag(c, "--lambda", "lam")
             _partition_flag(c, "--mu", "mu")
+        else:
+            c.add_argument("--part", action="append", type=parse_partition_text, required=True,
+                           help="repeatable partition text")
         c.add_argument("--out", default=None)
-        c.set_defaults(handler=_cmd_check)
+        c.set_defaults(handler=_cmd_check, pairs=row.pairs)
         s = scans.add_parser(name.replace("_", "-"))
         s.add_argument("--max-boxes", dest="max_boxes", type=int, required=True)
         s.add_argument("--jobs", type=int, default=1)
-        if name == "chain":
+        if not row.pairs:
             s.add_argument("--n", type=int, help="tuple length")
         if row.stable:
             s.add_argument("--cache",

@@ -13,7 +13,7 @@ import json
 import os
 import time
 from itertools import zip_longest
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .closed_forms import reduced_hook, reduced_two_row
 from .coefficients import (
@@ -38,7 +38,6 @@ from .partitions import (
     pad,
     partitions_of,
     partitions_up_to,
-    sort_split,
     syt_count,
     union_parts,
 )
@@ -92,46 +91,122 @@ def _elapsed_ms(start: float) -> int:
     return int((time.monotonic() - start) * 1000)
 
 
-def _dominance_report(subject, start, lam_text, mu_text, bigger, smaller, pairs_scanned=1):
-    """Report every target at which the conjectured-larger side falls below the other."""
-    cmp = stable_ring_compare(bigger, smaller)
-    return ViolationReport(
-        subject=subject,
-        pairs_scanned=pairs_scanned,
-        violations=[
-            Violation(lam_text, mu_text, format_partition(nu), bigger[nu], smaller[nu])
-            for nu in cmp.negative
-        ],
-        elapsed_ms=_elapsed_ms(start),
-    )
+# -- one check body for every scan row ------------------------------------------
 
 
-def _pair_report(name, start, lam, mu, bigger, smaller, pairs_scanned=1) -> ViolationReport:
-    """The report of a pair check, with the pair's texts in its subject."""
-    lam_text, mu_text = format_partition(lam), format_partition(mu)
-    subject = f"{name} lambda={lam_text} mu={mu_text}"
-    return _dominance_report(subject, start, lam_text, mu_text, bigger, smaller, pairs_scanned)
+class Ring(NamedTuple):
+    """How a scan row multiplies classes; only the stable ring reads the cache."""
+
+    multiply: Callable[[tuple, object], VirtualRep]  # (factors, cache) -> their product
+    square: Callable[[Partition, object], VirtualRep]  # (p, cache) -> p times p
+    same_size: bool = False  # classes of one S_n: a payload's parts have one size
+    targets: bool = False  # a check counts its size's targets as scanned, not one pair
+
+
+def _stable_product(factors, cache) -> VirtualRep:
+    """Left-associated stable product of single classes; associativity is
+    verified separately, so the bracketing only fixes the evaluation order."""
+    if len(factors) == 1:
+        return VirtualRep.single(factors[0])
+    acc = reduced_tensor_decompose(*factors[:2], cache=cache)
+    for p in factors[2:]:
+        acc = stable_ring_multiply(acc, VirtualRep.single(p), cache=cache)
+    return acc
+
+
+# The engine memoizes stable products. The fixed-size rings memoize squares
+# only: many pairs share one midpoint, and each pair's product is expanded once.
+_STABLE = Ring(_stable_product, lambda p, cache: _stable_product((p, p), cache))
+_SYMMETRIC = Ring(lambda factors, cache: tensor_decompose(*factors),
+                  lambda p, cache: VirtualRep(_tensor_square(p), sum(p)), same_size=True)
+_SCHUR = Ring(lambda factors, cache: VirtualRep(lr_expand(*factors)),
+              lambda p, cache: VirtualRep(_lr_square(p)), targets=True)
+
+
+def _midpoint_squared(ring: Ring, parts: tuple, cache):
+    """The larger side of a pair: the square of its exact midpoint."""
+    mid = midpoint(*parts, "exact")  # NotIntegral propagates to the caller
+    return (mid, mid), ring.square(mid, cache)
+
+
+def _interleaved(ring: Ring, parts: tuple, cache):
+    """The larger side: all parts merged, then dealt into len(parts) classes."""
+    splits = tuple(interleave_split(union_parts((), sum(parts, ())), len(parts)))
+    return splits, ring.multiply(splits, cache)
+
+
+class ScanRow(NamedTuple):
+    ring: Ring
+    larger: Callable[[Ring, tuple, object], tuple]  # (ring, parts, cache) -> (factors, side)
+    pairs: bool = True  # payloads are (lam, mu) pairs; else n-tuples, n set per scan
+
+    @property
+    def stable(self) -> bool:  # the check compares stable products, which a cache can serve
+        return self.ring is _STABLE
+
+
+# Each inequality is one row. scan() reaches the one check body, check_payload,
+# through the module global run_check, looked up at call time, so rebinding
+# both names reaches every scan. perfbench's conjectures.check span relies on
+# this: it wraps every check_* global and each global bound to the same object.
+SCANS = {
+    "midpoint_reduced": ScanRow(_STABLE, _midpoint_squared),
+    "midpoint_kronecker": ScanRow(_SYMMETRIC, _midpoint_squared),
+    "sort": ScanRow(_STABLE, _interleaved),
+    "chain": ScanRow(_STABLE, _interleaved, pairs=False),
+    "schur_lr": ScanRow(_SCHUR, _midpoint_squared),
+}
+
+
+def _scan_row(conjecture: str) -> ScanRow:
+    """The SCANS row of a name spelled with '-' or '_'."""
+    row = SCANS.get(conjecture.replace("-", "_"))
+    if row is None:
+        raise ValueError(f"unknown conjecture {conjecture!r}")
+    return row
+
+
+def check_payload(name: str, payload, *, cache=None) -> ViolationReport:
+    """Report the targets at which a row's larger side falls below the product
+    of the payload: a (lam, mu) pair, or the parts of an n-tuple row. The
+    larger side is computed first, which fixes the order of cache appends."""
+    row = _scan_row(name)
+    ring = row.ring
+    start = time.monotonic()
+    parts = tuple(map(tuple, payload))
+    if not parts:
+        raise ValueError("need at least one partition")
+    sizes = [sum(p) for p in parts]
+    if ring.same_size and len(set(sizes)) > 1:
+        raise SizeMismatch(f"sizes differ: {sizes[0]} vs {sizes[1]}")
+    factors, bigger = row.larger(ring, parts, cache)
+    smaller = ring.multiply(parts, cache)
+    label = name.replace("_", "-")
+    if row.pairs:
+        lam_text, mu_text = map(format_partition, parts)
+        subject = f"{label} lambda={lam_text} mu={mu_text}"
+    else:
+        lam_text, mu_text = (";".join(map(format_partition, ps)) for ps in (parts, factors))
+        subject = f"{label} n={len(parts)} parts={lam_text}"
+    violations = [
+        Violation(lam_text, mu_text, format_partition(nu), bigger[nu], smaller[nu])
+        for nu in stable_ring_compare(bigger, smaller).negative
+    ]
+    scanned = len(partitions_of(sum(sizes))) if ring.targets else 1
+    return ViolationReport(subject, scanned, 0, violations, _elapsed_ms(start))
+
+
+run_check = check_payload
 
 
 def check_midpoint_reduced(lam: Partition, mu: Partition, *, cache=None) -> ViolationReport:
     """Does the squared midpoint class dominate the stable product of the pair?"""
-    start = time.monotonic()
-    mid = midpoint(lam, mu, "exact")  # NotIntegral propagates to the caller
-    bigger = reduced_tensor_decompose(mid, mid, cache=cache)
-    smaller = reduced_tensor_decompose(lam, mu, cache=cache)
-    return _pair_report("midpoint-reduced", start, lam, mu, bigger, smaller)
+    return check_payload("midpoint_reduced", (lam, mu), cache=cache)
 
 
 def check_midpoint_kronecker(lam: Partition, mu: Partition) -> ViolationReport:
     """Unstable analog at fixed S_n; expected to fail on known pairs."""
-    start = time.monotonic()
-    n = sum(lam)
-    if sum(mu) != n:
-        raise SizeMismatch(f"sizes differ: {n} vs {sum(mu)}")
-    mid = midpoint(lam, mu, "exact")
-    bigger = VirtualRep(_tensor_square(mid), n)
-    smaller = tensor_decompose(lam, mu)
-    return _pair_report("midpoint-kronecker", start, lam, mu, bigger, smaller)
+    return check_payload("midpoint_kronecker", (lam, mu))
 
 
 def check_sort_conjecture(lam: Partition, mu: Partition, *, cache=None) -> ViolationReport:
@@ -141,10 +216,7 @@ def check_sort_conjecture(lam: Partition, mu: Partition, *, cache=None) -> Viola
     pairs, from 4 boxes on: (1,1), (2) splits to (2,1), (1), whose product
     vanishes at target (1) by the size triangle inequality.
     """
-    start = time.monotonic()
-    bigger = reduced_tensor_decompose(*sort_split(lam, mu), cache=cache)
-    smaller = reduced_tensor_decompose(lam, mu, cache=cache)
-    return _pair_report("sort", start, lam, mu, bigger, smaller)
+    return check_payload("sort", (lam, mu), cache=cache)
 
 
 def check_chain_conjecture(parts: Sequence[Partition], *, cache=None) -> ViolationReport:
@@ -154,31 +226,11 @@ def check_chain_conjecture(parts: Sequence[Partition], *, cache=None) -> Violati
     inputs. With two inputs it is the sorted-split check, failing from 4 boxes
     on; with three the smallest failure is (1), (1,1), (2), at 5 boxes.
 
-    Both sides are left-associated stable products; associativity is verified
-    separately, so the bracketing only fixes the evaluation order. Violation
-    records carry the input list and the split list as ';'-joined texts.
+    The chain row of SCANS, run by check_payload: its subject is "chain n=N
+    parts=...", its violation records carry the input list and the split list
+    as ';'-joined texts, and an empty list raises ValueError.
     """
-    if not parts:
-        raise ValueError("need at least one partition")
-    start = time.monotonic()
-    n = len(parts)
-    merged = ()
-    for p in parts:
-        merged = union_parts(merged, p)
-    splits = interleave_split(merged, n)
-
-    def left_product(classes):
-        acc = VirtualRep.single(classes[0])
-        for p in classes[1:]:
-            acc = stable_ring_multiply(acc, VirtualRep.single(p), cache=cache)
-        return acc
-
-    bigger = left_product(splits)
-    smaller = left_product(list(parts))
-    inputs_text = ";".join(format_partition(p) for p in parts)
-    splits_text = ";".join(format_partition(p) for p in splits)
-    subject = f"chain n={n} parts={inputs_text}"
-    return _dominance_report(subject, start, inputs_text, splits_text, bigger, smaller)
+    return check_payload("chain", parts, cache=cache)
 
 
 def check_saturation(
@@ -222,12 +274,7 @@ def check_dim_log_concavity(lam: Partition, mu: Partition, d: int) -> DimLogConc
 
 def check_schur_log_concavity(lam: Partition, mu: Partition) -> ViolationReport:
     """Midpoint-squared LR coefficients vs the pair's, over all same-size targets."""
-    start = time.monotonic()
-    mid = midpoint(lam, mu, "exact")
-    bigger = VirtualRep(_lr_square(mid))
-    smaller = VirtualRep(lr_expand(lam, mu))
-    targets = len(partitions_of(sum(lam) + sum(mu)))
-    return _pair_report("schur-lr", start, lam, mu, bigger, smaller, targets)
+    return check_payload("schur_lr", (lam, mu))
 
 
 def check_murnaghan_littlewood(budget: int, *, cache=None) -> ViolationReport:
@@ -247,16 +294,8 @@ def check_murnaghan_littlewood(budget: int, *, cache=None) -> ViolationReport:
             lr = product.get(nu, 0)
             scanned += 1
             if reduced != lr:
-                lo, hi = sorted((reduced, lr))
-                violations.append(
-                    Violation(
-                        format_partition(lam),
-                        format_partition(mu),
-                        format_partition(nu),
-                        lo,
-                        hi,
-                    )
-                )
+                texts = map(format_partition, (lam, mu, nu))
+                violations.append(Violation(*texts, *sorted((reduced, lr))))
     return ViolationReport(
         subject=f"murnaghan-littlewood budget={budget}",
         pairs_scanned=scanned,
@@ -302,46 +341,10 @@ def _multisets_with_total(max_boxes: int, n: int) -> Iterator[tuple]:
         yield from rec(0, max_boxes, ((),) * empties)
 
 
-def _pairs(max_boxes: int, chain_n: int) -> Iterator[tuple]:
-    return _pairs_with_total(max_boxes)
-
-
-def _equal_size_pairs(max_boxes: int, chain_n: int) -> Iterator[tuple]:
-    return _pairs_with_total(max_boxes, equal_sizes=True)
-
-
 def _has_exact_midpoint(lam: Partition, mu: Partition) -> bool:
     """Is every componentwise sum even, with the shorter partition zero-padded?"""
     return all((a + b) % 2 == 0 for a, b in zip_longest(lam, mu, fillvalue=0))
 
-
-class ScanRow(NamedTuple):
-    payloads: Callable[[int, int], Iterable]  # (max_boxes, chain_n) -> payloads
-    exact_midpoint: bool  # dispatch only pairs with an exact midpoint
-    stable: bool  # the check compares stable products, so a cache can serve it
-    check: Callable[..., ViolationReport]  # (payload, cache) -> report
-
-
-# Each inequality is one row. The checks are looked up by their global names
-# at call time, so rebinding a module global reaches every scan.
-SCANS = {
-    "midpoint_reduced": ScanRow(
-        _pairs, True, True, lambda pair, cache: check_midpoint_reduced(*pair, cache=cache)
-    ),
-    "midpoint_kronecker": ScanRow(
-        _equal_size_pairs, True, False, lambda pair, cache: check_midpoint_kronecker(*pair)
-    ),
-    "sort": ScanRow(
-        _pairs, False, True, lambda pair, cache: check_sort_conjecture(*pair, cache=cache)
-    ),
-    "chain": ScanRow(
-        _multisets_with_total,
-        False,
-        True,
-        lambda parts, cache: check_chain_conjecture(parts, cache=cache),
-    ),
-    "schur_lr": ScanRow(_pairs, True, False, lambda pair, cache: check_schur_log_concavity(*pair)),
-}
 
 _WORKER_CACHE = None
 
@@ -349,22 +352,6 @@ _WORKER_CACHE = None
 def _worker_init(cache) -> None:
     global _WORKER_CACHE
     _WORKER_CACHE = cache
-
-
-def _scan_row(conjecture: str) -> ScanRow:
-    """The SCANS row of a name spelled with '-' or '_'."""
-    row = SCANS.get(conjecture.replace("-", "_"))
-    if row is None:
-        raise ValueError(f"unknown conjecture {conjecture!r}")
-    return row
-
-
-def run_check(name: str, payload, *, cache=None) -> ViolationReport:
-    """Run the check of one SCANS row on one payload.
-
-    The payload is a (lam, mu) pair, or the list of parts for "chain".
-    """
-    return _scan_row(name).check(payload, cache)
 
 
 def _worker_task(task):
@@ -411,11 +398,15 @@ def scan(
         raise ValueError("need at least one partition")
     name = conjecture.replace("-", "_")
     start = time.monotonic()
-    candidates = list(row.payloads(max_boxes, chain_n))
+    subject = f"scan:{name}:max_boxes={max_boxes}"
+    if row.pairs:
+        candidates = list(_pairs_with_total(max_boxes, row.ring.same_size))
+    else:
+        candidates = list(_multisets_with_total(max_boxes, chain_n))
+        subject += f":n={chain_n}"
     payloads = candidates
-    if row.exact_midpoint:
+    if row.larger is _midpoint_squared:  # only pairs with an exact midpoint
         payloads = [pair for pair in candidates if _has_exact_midpoint(*pair)]
-    subject = f"scan:{name}:max_boxes={max_boxes}" + (f":n={chain_n}" if name == "chain" else "")
     # A forked pool starts every worker up front, so never ask for more
     # workers than there are tasks or CPUs.
     workers = min(jobs, len(payloads), os.cpu_count() or 1)
