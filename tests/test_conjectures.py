@@ -436,8 +436,8 @@ class TestPinnedReports:
         assert hashlib.sha256(report.encode()).hexdigest() == digest
 
 
-def sha256(text):
-    return hashlib.sha256(text if isinstance(text, bytes) else text.encode()).hexdigest()
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 class TestPinnedChecks:
@@ -472,7 +472,7 @@ class TestPinnedChecks:
                 lines.append(conjectures.run_check(name, payload).canonical_json())
             except KroncaveError as exc:
                 lines.append(f"{type(exc).__name__}: {exc}")
-        assert sha256("\n".join(lines)) == digest
+        assert sha256("\n".join(lines).encode()) == digest
 
     @pytest.mark.parametrize(
         "check, payload, error, message",
@@ -485,17 +485,14 @@ class TestPinnedChecks:
         ],
     )
     def test_bad_input_errors(self, check, payload, error, message):
+        """The same error through run_check and through the exported function."""
         exported = {
             "midpoint_reduced": check_midpoint_reduced,
             "midpoint_kronecker": check_midpoint_kronecker,
             "schur_lr": check_schur_log_concavity,
-        }
-        calls = [lambda: conjectures.run_check(check, payload)]
-        if check == "chain":
-            calls.append(lambda: check_chain_conjecture(list(payload)))
-        else:
-            calls.append(lambda: exported[check](*payload))
-        for call in calls:
+            "chain": lambda *parts: check_chain_conjecture(list(parts)),
+        }[check]
+        for call in (lambda: conjectures.run_check(check, payload), lambda: exported(*payload)):
             with pytest.raises(error) as info:
                 call()
             assert type(info.value) is error and str(info.value) == message
