@@ -256,53 +256,64 @@ def redkron_line(value):
 
 
 def planted_lines(values):
-    """Records of each value for (1),(1),(2) and for (),(2),(2), in order."""
-    triples = (("1", "1", "2"), ("-", "2", "2"))
+    """Records of each value for (1),(1),(2), (),(2),(2) and (1),(3),(3), in order."""
+    triples = (("1", "1", "2"), ("-", "2", "2"), ("1", "3", "3"))
     return "".join(cache_line("redkron", *triple, v) + "\n" for triple in triples for v in values)
 
 
-def scan_two_boxes(capsys, *flags):
-    """Exit code and report of a cold 2-box midpoint-reduced scan, timing removed."""
+def cold_scan(capsys, boxes, *flags):
+    """Exit code and report of a cold midpoint-reduced scan, timing removed."""
     clear_caches()
-    code, out, _ = run(capsys, "scan", "midpoint-reduced", "--max-boxes", "2", *flags)
+    code, out, _ = run(capsys, "scan", "midpoint-reduced", "--max-boxes", str(boxes), *flags)
     return code, without_timing(out)
 
 
 class TestUntrustedCache:
     """Corrupt, negative and conflicting records never decide an answer.
 
-    Single-input commands take no cache, so these records are read by the
-    2-box midpoint-reduced scan. (1),(1),(2) is on the larger side of its
-    comparison and (),(2),(2) on the smaller side. Both true values are 1,
-    so trusting any of the planted values would add a violation.
+    Single-input commands take no cache, so these records are planted for
+    midpoint-reduced scans. (1),(1),(2) is on the larger side of the 2-box
+    scan and (),(2),(2) on its smaller side; both are top-degree triples
+    (|nu| = |lam| + |mu|), whose values the engine takes from LR
+    coefficients and never reads from a cache. (1),(3),(3) is below the top
+    degree, on the smaller side of the 4-box scan, so the scan reads its
+    record. All three true values are 1, so trusting any of the planted
+    values would add a violation.
     """
 
     @pytest.mark.parametrize("values", [["-4"], ["1_0"], ["7", "1"], ["1", "5"]])
     def test_redkron_prints_true_value(self, capsys, tmp_path, values):
         path = tmp_path / "c.jsonl"
         path.write_text(planted_lines(values))
-        expected = scan_two_boxes(capsys)
+        expected = cold_scan(capsys, 4)
         assert expected[0] == 0
-        assert scan_two_boxes(capsys, "--cache", str(path)) == expected
+        assert cold_scan(capsys, 4, "--cache", str(path)) == expected
+
+    def test_well_formed_wrong_record_changes_nothing(self, capsys, tmp_path):
+        """The true value of (1),(1),(2) is 1, so a planted 0 would make a
+        violation if the scan read it; top-degree values are never read."""
+        path = tmp_path / "c.jsonl"
+        path.write_text(cache_line("redkron", "1", "1", "2", "0") + "\n")
+        assert cold_scan(capsys, 2, "--cache", str(path)) == cold_scan(capsys, 2)
 
     @pytest.mark.xfail(
         strict=True,
-        reason="a well-formed wrong record still decides a scan report (CHANGES.md FOUND: "
-        "store.CoefficientCache with scan --cache)",
+        reason="a well-formed wrong record below the top degree still decides a scan "
+        "report (ROADMAP item 13)",
     )
-    def test_well_formed_wrong_record_changes_nothing(self, capsys, tmp_path):
-        """The true value of (1),(1),(2) is 1, so a planted 0 makes a violation
-        if the scan trusts it."""
+    def test_well_formed_wrong_lower_degree_record_changes_nothing(self, capsys, tmp_path):
+        """The true value of (1),(3),(3) is 1, so a planted 2 makes the violation
+        1/3/3 (lhs 1, rhs 2) if the scan trusts it."""
         path = tmp_path / "c.jsonl"
-        path.write_text(cache_line("redkron", "1", "1", "2", "0") + "\n")
-        assert scan_two_boxes(capsys, "--cache", str(path)) == scan_two_boxes(capsys)
+        path.write_text(cache_line("redkron", "1", "3", "3", "2") + "\n")
+        assert cold_scan(capsys, 4, "--cache", str(path)) == cold_scan(capsys, 4)
 
     def test_redkron_skips_non_string_partition_field(self, capsys, tmp_path):
         path = tmp_path / "c.jsonl"
         line = json.loads(redkron_line("1"))
         line["lambda"] = 5
         path.write_text(json.dumps(line) + "\n")
-        assert scan_two_boxes(capsys, "--cache", str(path)) == scan_two_boxes(capsys)
+        assert cold_scan(capsys, 2, "--cache", str(path)) == cold_scan(capsys, 2)
 
     def test_verify_paper_never_reads_the_cache(self, capsys, tmp_path, monkeypatch):
         """A well-formed wrong golden value in a planted cache cannot fail verify."""
@@ -324,8 +335,8 @@ class TestUntrustedCache:
         """Scan workers, which expand the stable products, skip a negative record too."""
         path = tmp_path / "c.jsonl"
         path.write_text(planted_lines(["-4"]))
-        expected = scan_two_boxes(capsys, "--jobs", "2")
-        assert scan_two_boxes(capsys, "--jobs", "2", "--cache", str(path)) == expected
+        expected = cold_scan(capsys, 4, "--jobs", "2")
+        assert cold_scan(capsys, 4, "--jobs", "2", "--cache", str(path)) == expected
 
 
 # Records of the kinds that older files hold, each with a wrong value of 9;
@@ -373,7 +384,7 @@ class TestOnlyReducedValuesAreCached:
     def test_old_kind_lines_are_skipped(self, capsys, old_kinds_file, monkeypatch, caplog):
         with old_kinds_file.open("a") as fh:
             fh.write(redkron_line("1") + "\n")
-        expected = scan_two_boxes(capsys)
+        expected = cold_scan(capsys, 2)
         computed = []
         compute = coefficients.kronecker_sequence
 
@@ -383,7 +394,7 @@ class TestOnlyReducedValuesAreCached:
 
         monkeypatch.setattr(coefficients, "kronecker_sequence", recorded)
         with caplog.at_level(logging.WARNING):
-            assert scan_two_boxes(capsys, "--cache", str(old_kinds_file)) == expected
+            assert cold_scan(capsys, 2, "--cache", str(old_kinds_file)) == expected
         assert sum("unknown kind" in r.message for r in caplog.records) == 2
         assert computed and ((1,), (1,), (1,)) not in computed  # the redkron record answered
 

@@ -333,7 +333,7 @@ class TestRowStore:
 
         with monkeypatch.context() as patch:
             patch.setattr(coefficients, "kronecker", recording)
-            scan("midpoint-reduced", 6)
+            scan("midpoint-reduced", 8)
         padded = sorted(seen, key=lambda t: (sum(t[0]), t))
         picked = padded[:: max(1, len(padded) // 30)] + padded[-3:]
         assert 30 <= len(picked) <= 40 and max(sum(t[0]) for t in picked) >= 13
@@ -345,8 +345,9 @@ class TestRowStore:
         requests = _character_requests(monkeypatch, 6)
         assert [key for key, calls in requests.items() if calls > 1] == []
         # only the characters the sums need, with their recursion: no whole rows
-        # of nu, and none for the triples that dvir_inequalities rules out
-        assert len(DEFAULT_TABLE) == 4861
+        # of nu, none for the triples that dvir_inequalities rules out, and
+        # none for the top degrees, which come from lr_expand
+        assert len(DEFAULT_TABLE) == 2666
 
     def test_count_guard_sees_repeated_rows(self, monkeypatch):
         """The guard above fails when each sum evaluates nu on every class again."""
@@ -596,6 +597,54 @@ class TestReducedTensorDecompose:
         rep = reduced_tensor_decompose((2,), (1, 1))
         for nu in partitions_up_to(4):
             assert rep[nu] == reduced_kronecker((2,), (1, 1), nu)
+
+    def test_top_degree_matches_padded_values(self):
+        """The LR slice at |nu| = |lam| + |mu| equals the padded engine's values."""
+        shapes = list(partitions_up_to(8))
+        pairs = [
+            pair
+            for pair in itertools.combinations_with_replacement(shapes, 2)
+            if sum(map(sum, pair)) <= 8
+        ]
+        clear_caches()
+        products = {pair: reduced_tensor_decompose(*pair) for pair in pairs}
+        clear_caches()
+        for (lam, mu), rep in products.items():
+            for nu in partitions_of(sum(lam) + sum(mu)):
+                assert rep[nu] == reduced_kronecker(lam, mu, nu), (lam, mu, nu)
+
+    def test_top_degree_leaves_reduced_kronecker_padded(self, monkeypatch):
+        """After a product, each top-degree value still costs reduced_kronecker
+        its two padded kronecker calls: the LR slice writes no per-triple memo."""
+        clear_caches()
+        lam, mu = (2, 1), (1,)
+        reduced_tensor_decompose(lam, mu)
+        calls = []
+        original = coefficients.kronecker
+
+        def counted(*triple):
+            calls.append(triple)
+            return original(*triple)
+
+        monkeypatch.setattr(coefficients, "kronecker", counted)
+        for nu in partitions_of(4):
+            calls.clear()
+            reduced_kronecker(lam, mu, nu)
+            assert len(calls) == 2, nu
+
+    def test_scan_asks_reduced_kronecker_below_the_top_degree_only(self, monkeypatch):
+        clear_caches()
+        asked = []
+        original = coefficients.reduced_kronecker
+
+        def recording(lam, mu, nu, **kwargs):
+            asked.append((lam, mu, nu))
+            return original(lam, mu, nu, **kwargs)
+
+        monkeypatch.setattr(coefficients, "reduced_kronecker", recording)
+        assert scan("midpoint-reduced", 6).passed
+        assert asked
+        assert [t for t in asked if sum(t[2]) >= sum(t[0]) + sum(t[1])] == []
 
 
 class TestStableRing:

@@ -368,6 +368,58 @@ class TestScan:
             lines.append(sorted(path.read_text(encoding="utf-8").splitlines()))
         assert lines[0] and lines[0] == lines[1]
 
+    def test_cache_file_opened_once_per_load_and_payload(self, tmp_path, monkeypatch):
+        """A scan parses its cache once (its view copies the records) and appends
+        each payload's new records under one open; a warm scan appends nothing."""
+        from kroncave import store
+
+        opens = []
+
+        def counted(path, mode="r", *args, **kwargs):
+            opens.append(mode)
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(store, "open", counted, raising=False)
+        path = tmp_path / "values.jsonl"
+        clear_caches()
+        report = scan("midpoint_reduced", 6, cache=CoefficientCache(str(path)))
+        assert opens.count("r") == 1
+        assert 0 < opens.count("a") <= report.pairs_scanned
+        assert len(opens) == 1 + opens.count("a")
+        assert path.read_bytes().count(b"\n") == 304
+        opens.clear()
+        clear_caches()
+        warm = scan("midpoint_reduced", 6, cache=CoefficientCache(str(path)))
+        assert warm.canonical_json() == report.canonical_json()
+        assert opens == ["r"]
+
+    def test_raising_serial_scan_keeps_what_it_computed(self, tmp_path, monkeypatch):
+        """A scan whose check raises keeps the records of the payloads before it,
+        and those the raising check computed: the leading lines of a whole
+        scan's file. The check of (2),(4) computes 28 new values."""
+        clear_caches()
+        whole = tmp_path / "whole.jsonl"
+        scan("midpoint_reduced", 6, cache=CoefficientCache(str(whole)))
+        original = conjectures.run_check
+        files = {}
+        for computed in (False, True):
+
+            def failing(name, payload, *, cache=None):
+                if payload != ((2,), (4,)):
+                    return original(name, payload, cache=cache)
+                if computed:
+                    original(name, payload, cache=cache)
+                raise RuntimeError("planted failure")
+
+            monkeypatch.setattr(conjectures, "run_check", failing)
+            clear_caches()
+            files[computed] = tmp_path / f"computed-{computed}.jsonl"
+            with pytest.raises(RuntimeError):
+                scan("midpoint_reduced", 6, cache=CoefficientCache(str(files[computed])))
+        before, kept = (files[flag].read_text().splitlines() for flag in (False, True))
+        assert whole.read_text().splitlines()[: len(kept)] == kept
+        assert len(kept) == len(before) + 28
+
     @pytest.mark.parametrize(
         "name, max_boxes, expand",
         [("midpoint_kronecker", 20, "tensor_decompose"), ("schur_lr", 12, "lr_expand")],

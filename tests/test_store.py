@@ -162,6 +162,60 @@ class TestRecordingCache:
         assert CoefficientCache(str(path)).get((1,), (2,), (1,)) == 4
 
 
+class TestPutMany:
+    RECORDS = [
+        (((1,), (1,), (1,)), 1),  # already in the file: skipped
+        (((2,), (1,), (1,)), 6),  # a conflicted key: never written
+        (((2, 1), (2,), (1, 1)), 1),
+        (((2,), (2, 1), (1, 1)), 1),  # the same key again: skipped
+        (((1,), (1,), ()), 1),
+    ]
+    PLANTED = [(("1", "1", "1"), "1"), (("1", "2", "1"), "4"), (("1", "2", "1"), "5")]
+
+    def _planted(self, path):
+        path.write_text("".join(
+            json.dumps({"kind": "redkron", "lambda": lam, "mu": mu, "nu": nu,
+                        "value": value, "engineVersion": ENGINE_VERSION}) + "\n"
+            for (lam, mu, nu), value in self.PLANTED
+        ))
+        return CoefficientCache(str(path))
+
+    def test_same_lines_as_put_under_one_open(self, tmp_path, monkeypatch):
+        from kroncave import store
+
+        one_by_one = self._planted(tmp_path / "put.jsonl")
+        for triple, value in self.RECORDS:
+            one_by_one.put(*triple, value)
+        batch = self._planted(tmp_path / "batch.jsonl")
+        len(batch)  # load the file before opens are counted
+        opens = []
+
+        def counted(path, mode="r", *args, **kwargs):
+            opens.append(mode)
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(store, "open", counted, raising=False)
+        batch.put_many(self.RECORDS)
+        assert opens == ["a"]
+        text = (tmp_path / "batch.jsonl").read_text()
+        assert text == (tmp_path / "put.jsonl").read_text()
+        assert len(text.splitlines()) == len(self.PLANTED) + 2
+        opens.clear()
+        batch.put_many(self.RECORDS)
+        assert opens == []
+
+    def test_view_starts_from_the_loaded_records(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        cache = self._planted(path)
+        view = cache.view()
+        assert view.get((1,), (1,), (1,)) == 1
+        assert view.get((1,), (2,), (1,)) is None  # the conflict stays a miss
+        view.put((1,), (1,), (1,), 1)
+        view.put((1,), (1,), (2,), 1)
+        assert view.drain() == [(((1,), (1,), (2,)), 1)]
+        assert len(path.read_text().splitlines()) == len(self.PLANTED)  # the view wrote nothing
+
+
 class TestCacheAgainstEngine:
     def test_corrupt_lines_do_not_change_results(self, tmp_path):
         path = tmp_path / "c.jsonl"
