@@ -53,7 +53,11 @@ so the engine evaluates at d = max of that bound and the smallest padding
 sizes |lam|+lam1, |mu|+mu1, |nu|+nu1 (stabilization_start). It also evaluates
 at d+1 and raises InvariantViolation if the two values differ, which would
 mean a wrong bound or an arithmetic bug, never data. The protocol has no
-settings, so a stored value never depends on how it was computed.
+settings, so a stored value never depends on how it was computed. A whole
+stable product takes its top degree, |nu| = |lam| + |mu|, from one
+lr_expand instead: there the reduced coefficient is c^nu_{lam mu}
+(Murnaghan 1938, Littlewood 1958). The padded engine and its d+1 check
+cover every lower degree, and every reduced_kronecker call.
 """
 
 from __future__ import annotations
@@ -482,7 +486,14 @@ def reduced_tensor_decompose(lam: Partition, mu: Partition, *, cache=None) -> Vi
 
     Support is finite: coefficients vanish unless
     ||lam| - |mu|| <= |nu| <= |lam| + |mu|, so only those sizes are
-    enumerated.
+    enumerated. Below the top size each value is a reduced_kronecker call,
+    padded and checked one size later. At |nu| = |lam| + |mu| the reduced
+    coefficient is the LR coefficient c^nu_{lam mu} (Murnaghan 1938,
+    Littlewood 1958), so the top degree is one lr_expand. It is never read
+    from the cache and never enters the per-triple memo, which keeps
+    reduced_kronecker's padded values for check_murnaghan_littlewood to
+    compare; the cache still gets a record for every top nu, zeros included,
+    in one put_many, so its file is the one the padded loop would write.
     """
     lam, mu = tuple(lam), tuple(mu)
     pair = (lam, mu) if lam <= mu else (mu, lam)
@@ -491,11 +502,16 @@ def reduced_tensor_decompose(lam: Partition, mu: Partition, *, cache=None) -> Vi
         return VirtualRep(hit)
     coeffs = {}
     a, b = sum(lam), sum(mu)
-    for size in range(abs(a - b), a + b + 1):
+    for size in range(abs(a - b), a + b):
         for nu in sorted(partitions_of(size)):
             value = reduced_kronecker(lam, mu, nu, cache=cache)
             if value:
                 coeffs[nu] = value
+    top = lr_expand(lam, mu)
+    top_nus = sorted(partitions_of(a + b))
+    if cache is not None:
+        cache.put_many(((*pair, nu), top.get(nu, 0)) for nu in top_nus)
+    coeffs.update((nu, top[nu]) for nu in top_nus if nu in top)
     _STABLE_PRODUCTS[pair] = coeffs
     return VirtualRep(coeffs)
 

@@ -41,7 +41,7 @@ from .partitions import (
     syt_count,
     union_parts,
 )
-from .store import RecordingCache, format_partition
+from .store import format_partition
 
 
 class Violation(NamedTuple):
@@ -354,20 +354,25 @@ def _worker_init(cache) -> None:
     _WORKER_CACHE = cache
 
 
+def _checked(name: str, payload, view):
+    """(violations, the cache records the check left in its view)."""
+    violations = run_check(name, payload, cache=view).violations
+    return violations, (() if view is None else view.drain())
+
+
 def _worker_task(task):
-    """Pool entry point: (violations, this worker's buffered cache records)."""
-    name, payload = task
-    violations = run_check(name, payload, cache=_WORKER_CACHE).violations
-    return violations, (() if _WORKER_CACHE is None else _WORKER_CACHE.drain())
+    """Pool entry point: _checked against this worker's cache view."""
+    return _checked(*task, _WORKER_CACHE)
 
 
 def _merge(results, cache) -> list[Violation]:
-    """Fold task results in enumeration order, replaying buffered cache writes."""
+    """Fold task results in enumeration order, appending each task's cache
+    records with one put_many."""
     violations: list[Violation] = []
     for found, records in results:
         violations.extend(found)
-        for key, value in records:
-            cache.put(*key, value)
+        if records:
+            cache.put_many(records)
     return violations
 
 
@@ -386,8 +391,9 @@ def scan(
     skipped; a dispatched pair that raises is an error. Up to
     min(jobs, dispatched payloads, CPUs) workers run in parallel, and none
     when that is 1; the merge is a fold in enumeration order, so reports do
-    not depend on the schedule. Each worker buffers its cache writes and the
-    parent performs the actual appends.
+    not depend on the schedule. Every check writes to a view of the cache
+    (CoefficientCache.view), and the parent appends each payload's records
+    with one put_many.
     """
     row = _scan_row(conjecture)
     if max_boxes < 0:
@@ -410,19 +416,19 @@ def scan(
     # A forked pool starts every worker up front, so never ask for more
     # workers than there are tasks or CPUs.
     workers = min(jobs, len(payloads), os.cpu_count() or 1)
+    view = cache.view() if cache is not None and row.stable else None
     if workers <= 1:
-        violations = [
-            v for payload in payloads for v in run_check(name, payload, cache=cache).violations
-        ]
+        try:
+            violations = _merge((_checked(name, payload, view) for payload in payloads), cache)
+        finally:  # a check that raises keeps the records it computed
+            if view is not None:
+                cache.put_many(view.drain())
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         tasks = ((name, payload) for payload in payloads)
-        worker_cache = None
-        if cache is not None:
-            worker_cache = RecordingCache(cache.path)
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(worker_cache,)
+            max_workers=workers, initializer=_worker_init, initargs=(view,)
         ) as pool:
             chunk = max(1, len(payloads) // (workers * 8))
             results = pool.map(_worker_task, tasks, chunksize=chunk)

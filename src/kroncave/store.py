@@ -61,8 +61,10 @@ def parse_partition_text(s: str) -> Partition:
 
 def _canonical_args(lam: Partition, mu: Partition, nu: Partition):
     # a reduced Kronecker coefficient is symmetric under swapping lam and mu
-    a, b = sorted((tuple(lam), tuple(mu)), key=canonical_key)
-    return a, b, tuple(nu)
+    lam, mu = tuple(lam), tuple(mu)
+    if canonical_key(mu) < canonical_key(lam):
+        lam, mu = mu, lam
+    return lam, mu, tuple(nu)
 
 
 def _parse_field(text, parsed: dict) -> Partition:
@@ -75,13 +77,27 @@ def _parse_field(text, parsed: dict) -> Partition:
     return p
 
 
+def _record_line(key, value: int) -> str:
+    a, b, c = key
+    obj = {
+        "kind": "redkron",
+        "lambda": format_partition(a),
+        "mu": format_partition(b),
+        "nu": format_partition(c),
+        "value": str(value),
+        "engineVersion": ENGINE_VERSION,
+    }
+    return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
 class CoefficientCache:
     """Append-only JSONL store of reduced Kronecker values keyed by (lam, mu, nu).
 
     Reads tolerate corrupt or partially written lines (skipped with a
     warning), treat keys whose records disagree as misses (also with a
-    warning) and ignore records from other engine versions. Appends take an
-    advisory lock when the platform provides one.
+    warning) and ignore records from other engine versions. Each put_many
+    (and so each put) appends its new lines under one open and one advisory
+    lock, when the platform provides one.
     """
 
     def __init__(self, path: str):
@@ -149,31 +165,31 @@ class CoefficientCache:
         return self._load().get(_canonical_args(lam, mu, nu))
 
     def put(self, lam: Partition, mu: Partition, nu: Partition, value: int):
-        key = _canonical_args(lam, mu, nu)
-        index = self._load()
-        if index.get(key) == value:
-            return
-        index[key] = value
-        if key not in self._conflicts:  # one more line cannot settle a conflict
-            self._write(key, value)
+        self.put_many([((lam, mu, nu), value)])
 
-    def _write(self, key, value: int):
-        a, b, c = key
-        obj = {
-            "kind": "redkron",
-            "lambda": format_partition(a),
-            "mu": format_partition(b),
-            "nu": format_partition(c),
-            "value": str(value),
-            "engineVersion": ENGINE_VERSION,
-        }
-        line = json.dumps(obj, separators=(",", ":")) + "\n"
+    def put_many(self, records):
+        """put(*triple, value) for each (triple, value) in order, appending every
+        new line under one open and one lock."""
+        index = self._load()
+        new = []
+        for triple, value in records:
+            key = _canonical_args(*triple)
+            if index.get(key) == value:
+                continue
+            index[key] = value
+            if key not in self._conflicts:  # one more line cannot settle a conflict
+                new.append((key, value))
+        if new:
+            self._write(new)
+
+    def _write(self, records: list):
+        text = "".join(_record_line(key, value) for key, value in records)
         try:
             with open(self.path, "a", encoding="utf-8") as fh:
                 if fcntl is not None:
                     fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
                 try:
-                    fh.write(line)
+                    fh.write(text)
                     fh.flush()
                 finally:
                     if fcntl is not None:
@@ -181,24 +197,33 @@ class CoefficientCache:
         except OSError as exc:
             raise StoreIOError(f"cannot append to cache {self.path}: {exc}") from exc
 
+    def view(self) -> "RecordingCache":
+        """A RecordingCache on this file that starts from this cache's records,
+        so a scan and its workers parse the file once."""
+        view = RecordingCache(self.path)
+        view._index = dict(self._load())
+        view._conflicts = set(self._conflicts)
+        return view
+
     def __len__(self):
         return len(self._load())
 
 
 class RecordingCache(CoefficientCache):
-    """Cache view for scan workers: reads the shared file, buffers its writes.
+    """Cache view for scans: reads the shared file, buffers its writes.
 
-    Workers never touch the file; the parent process drains each worker's
-    buffer of ((lam, mu, nu), value) pairs and replays them with
-    put(*key, value).
+    A view never writes the file. scan() checks each payload against a view
+    (CoefficientCache.view), in its own process or in a worker, then drains
+    the view's ((lam, mu, nu), value) pairs and appends them to the real
+    cache with one put_many.
     """
 
     def __init__(self, path: str):
         super().__init__(path)
         self.buffer: list[tuple] = []
 
-    def _write(self, key, value: int):
-        self.buffer.append((key, value))
+    def _write(self, records: list):
+        self.buffer.extend(records)
 
     def drain(self) -> list[tuple]:
         out, self.buffer = self.buffer, []
