@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
             s.add_argument("--n", type=int, help="tuple length")
         if row.stable:
             s.add_argument("--cache",
-                           help="JSONL file of reduced Kronecker values to read and append")
+                           help="JSONL file of stable products to read and append")
         s.add_argument("--out", default=None)
         s.set_defaults(handler=_cmd_scan, n=3, cache=None)
     c = checks.add_parser("dim-log-concavity")

@@ -52,12 +52,14 @@ padded Kronecker sequences, read at the bound of Briand, Orellana and Rosas
 so the engine evaluates at d = max of that bound and the smallest padding
 sizes |lam|+lam1, |mu|+mu1, |nu|+nu1 (stabilization_start). It also evaluates
 at d+1 and raises InvariantViolation if the two values differ, which would
-mean a wrong bound or an arithmetic bug, never data. The protocol has no
-settings, so a stored value never depends on how it was computed. A whole
-stable product takes its top degree, |nu| = |lam| + |mu|, from one
-lr_expand instead: there the reduced coefficient is c^nu_{lam mu}
-(Murnaghan 1938, Littlewood 1958). The padded engine and its d+1 check
-cover every lower degree, and every reduced_kronecker call.
+mean a wrong bound or an arithmetic bug, never data. A whole stable product
+takes its top degree, |nu| = |lam| + |mu|, from one lr_expand instead: there
+the reduced coefficient is c^nu_{lam mu} (Murnaghan 1938, Littlewood 1958).
+The padded engine and its d+1 check cover every lower degree, and every
+reduced_kronecker call. The protocol has no settings, so a stored product
+never depends on how it was computed; the persistent cache (kroncave.store)
+stores whole products only, and only reduced_tensor_decompose reads or
+writes it.
 """
 
 from __future__ import annotations
@@ -446,28 +448,20 @@ def kronecker_sequence(
     return [kronecker(pad(lam, d), pad(mu, d), pad(nu, d)) for d in d_values]
 
 
-def reduced_kronecker(lam: Partition, mu: Partition, nu: Partition, *, cache=None) -> int:
+def reduced_kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Stable value of the padded Kronecker sequence for this triple.
 
     Returns 0 immediately when the size triangle inequalities fail. Otherwise
     evaluates at stabilization_start and checks the value one size later, as
-    documented in the module docstring. A persistent cache object (see
-    kroncave.store) may be supplied; it gets a record for each value computed
-    while it is attached, and none for an in-process memo hit.
+    documented in the module docstring.
     """
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
     if not murnaghan_inequalities(lam, mu, nu):
         return 0
-    pair = (lam, mu) if lam <= mu else (mu, lam)
-    key = (pair, nu)
+    key = ((lam, mu) if lam <= mu else (mu, lam), nu)
     hit = _REDUCED_MEMO.get(key)
     if hit is not None:
         return hit
-    if cache is not None:
-        stored = cache.get(pair[0], pair[1], nu)
-        if stored is not None:
-            _REDUCED_MEMO[key] = stored
-            return stored
     d = stabilization_start(lam, mu, nu)
     value, next_value = kronecker_sequence(lam, mu, nu, (d, d + 1))
     if next_value != value:
@@ -476,8 +470,6 @@ def reduced_kronecker(lam: Partition, mu: Partition, nu: Partition, *, cache=Non
             f"{value} at d={d}, {next_value} at d={d + 1}"
         )
     _REDUCED_MEMO[key] = value
-    if cache is not None:
-        cache.put(pair[0], pair[1], nu, value)
     return value
 
 
@@ -489,29 +481,30 @@ def reduced_tensor_decompose(lam: Partition, mu: Partition, *, cache=None) -> Vi
     enumerated. Below the top size each value is a reduced_kronecker call,
     padded and checked one size later. At |nu| = |lam| + |mu| the reduced
     coefficient is the LR coefficient c^nu_{lam mu} (Murnaghan 1938,
-    Littlewood 1958), so the top degree is one lr_expand. It is never read
-    from the cache and never enters the per-triple memo, which keeps
-    reduced_kronecker's padded values for check_murnaghan_littlewood to
-    compare; the cache still gets a record for every top nu, zeros included,
-    in one put_many, so its file is the one the padded loop would write.
+    Littlewood 1958), so the top degree is one lr_expand, which never enters
+    the per-triple memo: reduced_kronecker keeps padded values only, for
+    check_murnaghan_littlewood to compare.
+
+    A persistent cache (kroncave.store) may be supplied. A product missing
+    from the in-process memo is read from it, and one computed while it is
+    attached is written to it; a memo hit reads and writes nothing.
     """
     lam, mu = tuple(lam), tuple(mu)
     pair = (lam, mu) if lam <= mu else (mu, lam)
-    hit = _STABLE_PRODUCTS.get(pair)
-    if hit is not None:
-        return VirtualRep(hit)
-    coeffs = {}
-    a, b = sum(lam), sum(mu)
-    for size in range(abs(a - b), a + b):
-        for nu in sorted(partitions_of(size)):
-            value = reduced_kronecker(lam, mu, nu, cache=cache)
-            if value:
-                coeffs[nu] = value
-    top = lr_expand(lam, mu)
-    top_nus = sorted(partitions_of(a + b))
-    if cache is not None:
-        cache.put_many(((*pair, nu), top.get(nu, 0)) for nu in top_nus)
-    coeffs.update((nu, top[nu]) for nu in top_nus if nu in top)
+    coeffs = _STABLE_PRODUCTS.get(pair)
+    if coeffs is None and cache is not None:
+        coeffs = cache.get(lam, mu)
+    if coeffs is None:
+        coeffs = {}
+        a, b = sum(lam), sum(mu)
+        for size in range(abs(a - b), a + b):
+            for nu in sorted(partitions_of(size)):
+                value = reduced_kronecker(lam, mu, nu)
+                if value:
+                    coeffs[nu] = value
+        coeffs.update(sorted(lr_expand(lam, mu).items()))
+        if cache is not None:
+            cache.put(lam, mu, coeffs)
     _STABLE_PRODUCTS[pair] = coeffs
     return VirtualRep(coeffs)
 

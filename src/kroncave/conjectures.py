@@ -277,7 +277,7 @@ def check_schur_log_concavity(lam: Partition, mu: Partition) -> ViolationReport:
     return check_payload("schur_lr", (lam, mu))
 
 
-def check_murnaghan_littlewood(budget: int, *, cache=None) -> ViolationReport:
+def check_murnaghan_littlewood(budget: int) -> ViolationReport:
     """Reduced coefficients must equal LR coefficients at size-additive targets.
 
     Exhausts all triples with |nu| = |lam| + |mu| <= budget. This is an
@@ -290,7 +290,7 @@ def check_murnaghan_littlewood(budget: int, *, cache=None) -> ViolationReport:
     for lam, mu in _pairs_with_total(budget):
         product = lr_expand(lam, mu)
         for nu in sorted(partitions_of(sum(lam) + sum(mu))):
-            reduced = reduced_kronecker(lam, mu, nu, cache=cache)
+            reduced = reduced_kronecker(lam, mu, nu)
             lr = product.get(nu, 0)
             scanned += 1
             if reduced != lr:
@@ -484,7 +484,12 @@ def _golden(name, fn) -> GoldenCheck:
 
 
 def run_golden_suite(stretch: bool = False, cache=None) -> list[GoldenCheck]:
-    """Curated end-to-end checks of every engine against pinned exact values."""
+    """Curated end-to-end checks of every engine against pinned exact values.
+
+    Every value is recomputed, so no stored record can decide a check: the
+    suite reads and writes nothing through cache, just as `verify paper`,
+    which passes none. The keyword stays accepted for callers that pass one.
+    """
     results = []
 
     def square_difference():
@@ -514,11 +519,11 @@ def run_golden_suite(stretch: bool = False, cache=None) -> list[GoldenCheck]:
 
     def reduced_matches_lr():
         lam, mu, nu = GOLDEN_TRIPLE
-        red = reduced_kronecker(lam, mu, nu, cache=cache)
+        red = reduced_kronecker(lam, mu, nu)
         lr = lr_coefficient(lam, mu, nu)
         if red != GOLDEN_TRIPLE_VALUE or lr != GOLDEN_TRIPLE_VALUE:
             return False, f"golden triple gave reduced={red} lr={lr}"
-        report = check_murnaghan_littlewood(5, cache=cache)
+        report = check_murnaghan_littlewood(5)
         return report.passed, f"golden value 6; {report.pairs_scanned} triples up to budget 5"
 
     results.append(_golden("reduced-matches-lr-at-additive-sizes", reduced_matches_lr))
@@ -532,11 +537,11 @@ def run_golden_suite(stretch: bool = False, cache=None) -> list[GoldenCheck]:
                     for nu in partitions_of(size):
                         checked += 1
                         if reduced_two_row(j, k, nu) != reduced_kronecker(
-                            (j,) if j else (), (k,) if k else (), nu, cache=cache
+                            (j,) if j else (), (k,) if k else (), nu
                         ):
                             mismatches += 1
                         if j >= 1 and reduced_hook(j, k, nu) != reduced_kronecker(
-                            (1,) * j, (1,) * k, nu, cache=cache
+                            (1,) * j, (1,) * k, nu
                         ):
                             mismatches += 1
         return mismatches == 0, f"{checked} spot comparisons, {mismatches} mismatches"
@@ -552,7 +557,7 @@ def run_golden_suite(stretch: bool = False, cache=None) -> list[GoldenCheck]:
 
     def vanishing_triple():
         closed = reduced_hook(8, 8, (3, 3))
-        engine = reduced_kronecker((1,) * 8, (1,) * 8, (3, 3), cache=cache)
+        engine = reduced_kronecker((1,) * 8, (1,) * 8, (3, 3))
         ok = closed == 0 and engine == 0
         return ok, f"closed={closed} engine={engine}"
 
@@ -562,9 +567,7 @@ def run_golden_suite(stretch: bool = False, cache=None) -> list[GoldenCheck]:
 
         def scaled_triple():
             for m in (2, 3):
-                value = reduced_kronecker(
-                    (m,) * 8, (m,) * 8, (3 * m, 3 * m), cache=cache
-                )
+                value = reduced_kronecker((m,) * 8, (m,) * 8, (3 * m, 3 * m))
                 if value:
                     return True, f"scale {m} gives {value}"
             return False, "no nonzero value at scales 2..3"

@@ -1,12 +1,26 @@
-"""Canonical partition text and the append-only reduced Kronecker cache.
+"""Canonical partition text and the append-only stable product cache.
 
 The text form is the cross-surface contract: comma-separated weakly
 decreasing positive integers, "-" for the empty partition. The cache holds
-reduced Kronecker values only, one JSON object per line with kind "redkron",
-so appends are crash-safe and files from different machines can be
-concatenated; values are stored as decimal strings so any JSON reader
-reparses them exactly. A line of any other kind (older files hold "kron"
-and "lr" lines) is a corrupt line: skipped with a warning.
+whole stable products [lam]*[mu] only, one JSON object per line with kind
+"redtensor": the pair in canonical_key order and its nonzero reduced
+Kronecker coefficients as {nu text: decimal string}, nu in canonical_key
+order. Appends are crash-safe and files from different machines can be
+concatenated; coefficients are decimal strings so any JSON reader reparses
+them exactly. A line of any other kind (older files hold per-triple
+"redkron", "kron" and "lr" lines) is a corrupt line: skipped with a warning.
+
+Every record is checked when the file is loaded. Evaluating [lam]*[mu] at
+the identity of S_n gives the dimension identity
+
+  sum_nu g^nu_{lam mu} f^{nu[n]} = f^{lam[n]} f^{mu[n]},  n = |lam|+|mu|+lam1+mu1,
+
+with f the standard tableau count: n is Brion's uniform form of the
+Briand-Orellana-Rosas stability bound (Manuscripta Math. 1993; J. Algebra
+2011), past which the S_n product is the stable one. A record that fails it,
+or names a nu too large to pad to n, is a corrupt line. Every f is positive,
+so one wrong coefficient always fails; wrong coefficients whose f-weighted
+errors cancel still pass.
 
 A cache is only ever the file its caller names: the CLI attaches one for
 `scan --cache PATH` alone, and no default file or environment variable
@@ -19,7 +33,7 @@ import json
 import logging
 
 from .errors import PartitionParseError, StoreIOError
-from .partitions import Partition, canonical_key
+from .partitions import Partition, canonical_key, pad, part, syt_count
 
 try:
     import fcntl
@@ -59,12 +73,10 @@ def parse_partition_text(s: str) -> Partition:
     return tuple(parts)
 
 
-def _canonical_args(lam: Partition, mu: Partition, nu: Partition):
-    # a reduced Kronecker coefficient is symmetric under swapping lam and mu
+def _canonical_pair(lam: Partition, mu: Partition):
+    # a stable product is symmetric under swapping lam and mu
     lam, mu = tuple(lam), tuple(mu)
-    if canonical_key(mu) < canonical_key(lam):
-        lam, mu = mu, lam
-    return lam, mu, tuple(nu)
+    return (mu, lam) if canonical_key(mu) < canonical_key(lam) else (lam, mu)
 
 
 def _parse_field(text, parsed: dict) -> Partition:
@@ -77,27 +89,45 @@ def _parse_field(text, parsed: dict) -> Partition:
     return p
 
 
-def _record_line(key, value: int) -> str:
-    a, b, c = key
+def _check_dimensions(lam: Partition, mu: Partition, product: dict, dims: dict) -> None:
+    """Raise ValueError unless product passes the module docstring's dimension
+    identity; dims memoizes f per padded shape for one load."""
+    n = sum(lam) + sum(mu) + part(lam, 1) + part(mu, 1)
+
+    def f(p: Partition) -> int:
+        shape = pad(p, n)  # PadTooSmall is a ValueError: a failed check
+        value = dims.get(shape)
+        if value is None:
+            value = dims[shape] = syt_count(shape)
+        return value
+
+    if sum(c * f(nu) for nu, c in product.items()) != f(lam) * f(mu):
+        raise ValueError(f"product fails the dimension identity at n={n}")
+
+
+def _record_line(key, product: dict) -> str:
+    lam, mu = key
     obj = {
-        "kind": "redkron",
-        "lambda": format_partition(a),
-        "mu": format_partition(b),
-        "nu": format_partition(c),
-        "value": str(value),
+        "kind": "redtensor",
+        "lambda": format_partition(lam),
+        "mu": format_partition(mu),
+        "product": {
+            format_partition(nu): str(product[nu]) for nu in sorted(product, key=canonical_key)
+        },
         "engineVersion": ENGINE_VERSION,
     }
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 class CoefficientCache:
-    """Append-only JSONL store of reduced Kronecker values keyed by (lam, mu, nu).
+    """Append-only JSONL store of stable products keyed by the pair (lam, mu).
 
-    Reads tolerate corrupt or partially written lines (skipped with a
-    warning), treat keys whose records disagree as misses (also with a
-    warning) and ignore records from other engine versions. Each put_many
-    (and so each put) appends its new lines under one open and one advisory
-    lock, when the platform provides one.
+    Reads tolerate corrupt or partially written lines and records that fail
+    the dimension identity (skipped with a warning), treat pairs whose
+    records disagree as misses (also with a warning) and ignore records from
+    other engine versions. Each put_many (and so each put) appends its new
+    lines under one open and one advisory lock, when the platform provides
+    one.
     """
 
     def __init__(self, path: str):
@@ -112,22 +142,23 @@ class CoefficientCache:
             return self._index
         index: dict = {}
         parsed: dict = {}  # partition text -> partition, for this load only
+        dims: dict = {}  # padded shape -> standard tableau count, for this load only
         try:
             with open(self.path, "r", encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, 1):
                     line = line.strip()
                     if not line:
                         continue
-                    record = self._parse_line(line, lineno, parsed)
+                    record = self._parse_line(line, lineno, parsed, dims)
                     if record is None:
                         continue
-                    key, value = record
-                    first = index.setdefault(key, value)
-                    if first != value and key not in self._conflicts:
+                    key, product = record
+                    first = index.setdefault(key, product)
+                    if first != product and key not in self._conflicts:
                         log.warning(
-                            "%s:%d: conflicting cache records for %s (%s vs %s); "
+                            "%s:%d: conflicting cache records for %s * %s; "
                             "treating it as a miss",
-                            self.path, lineno, key, first, value,
+                            self.path, lineno, *map(format_partition, key),
                         )
                         self._conflicts.add(key)
         except FileNotFoundError:
@@ -139,51 +170,57 @@ class CoefficientCache:
         self._index = index
         return index
 
-    def _parse_line(self, line: str, lineno: int, parsed: dict):
+    def _parse_line(self, line: str, lineno: int, parsed: dict, dims: dict):
         try:
             obj = json.loads(line)
             kind = obj["kind"]
-            if kind != "redkron":
+            if kind != "redtensor":
                 raise ValueError(f"unknown kind {kind!r}")
             lam = _parse_field(obj["lambda"], parsed)
             mu = _parse_field(obj["mu"], parsed)
-            nu = _parse_field(obj["nu"], parsed)
-            text = obj["value"]
-            if not (isinstance(text, str) and text.isascii() and text.isdigit()):
-                raise ValueError(f"value {text!r} is not a non-negative decimal string")
-            version = obj["engineVersion"]
+            fields = obj["product"]
+            if type(fields) is not dict:
+                raise ValueError(f"product {fields!r} is not an object")
+            product = {}
+            for text, value in fields.items():
+                if not (isinstance(value, str) and value.isascii() and value.isdigit()
+                        and value[0] != "0"):
+                    raise ValueError(f"coefficient {value!r} is not a positive decimal string")
+                product[_parse_field(text, parsed)] = int(value)
+            if obj["engineVersion"] != ENGINE_VERSION:
+                return None  # stale engine entries are silently ignored
+            _check_dimensions(lam, mu, product, dims)
         except (KeyError, ValueError, TypeError) as exc:
             log.warning("%s:%d: skipping corrupt cache line (%s)", self.path, lineno, exc)
             return None
-        if version != ENGINE_VERSION:
-            return None  # stale engine entries are silently ignored
-        return _canonical_args(lam, mu, nu), int(text)
+        return _canonical_pair(lam, mu), product
 
     # -- queries -----------------------------------------------------------
 
-    def get(self, lam: Partition, mu: Partition, nu: Partition):
-        return self._load().get(_canonical_args(lam, mu, nu))
+    def get(self, lam: Partition, mu: Partition):
+        """The stored product {nu: coefficient} of lam and mu, or None."""
+        return self._load().get(_canonical_pair(lam, mu))
 
-    def put(self, lam: Partition, mu: Partition, nu: Partition, value: int):
-        self.put_many([((lam, mu, nu), value)])
+    def put(self, lam: Partition, mu: Partition, product: dict):
+        self.put_many([((lam, mu), product)])
 
     def put_many(self, records):
-        """put(*triple, value) for each (triple, value) in order, appending every
+        """put(*pair, product) for each (pair, product) in order, appending every
         new line under one open and one lock."""
         index = self._load()
         new = []
-        for triple, value in records:
-            key = _canonical_args(*triple)
-            if index.get(key) == value:
+        for pair, product in records:
+            key = _canonical_pair(*pair)
+            if index.get(key) == product:
                 continue
-            index[key] = value
+            index[key] = product
             if key not in self._conflicts:  # one more line cannot settle a conflict
-                new.append((key, value))
+                new.append((key, product))
         if new:
             self._write(new)
 
     def _write(self, records: list):
-        text = "".join(_record_line(key, value) for key, value in records)
+        text = "".join(_record_line(key, product) for key, product in records)
         try:
             with open(self.path, "a", encoding="utf-8") as fh:
                 if fcntl is not None:
@@ -214,8 +251,8 @@ class RecordingCache(CoefficientCache):
 
     A view never writes the file. scan() checks each payload against a view
     (CoefficientCache.view), in its own process or in a worker, then drains
-    the view's ((lam, mu, nu), value) pairs and appends them to the real
-    cache with one put_many.
+    the view's ((lam, mu), product) pairs and appends them to the real cache
+    with one put_many.
     """
 
     def __init__(self, path: str):

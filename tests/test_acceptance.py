@@ -21,6 +21,7 @@ from kroncave.coefficients import (
     kronecker_sequence,
     lr_coefficient,
     reduced_kronecker,
+    reduced_tensor_decompose,
     stable_ring_multiply,
     tensor_decompose,
 )
@@ -103,28 +104,32 @@ def test_criterion_4_murnaghan_littlewood():
 def test_criterion_5_closed_form_oracle_equivalence(tmp_path):
     cache_path = str(tmp_path / "closed-form-cache.jsonl")
 
-    def compare_all(cache):
+    def compare_all(value):
+        """Closed forms against value(lam, mu, nu) at every nu of size <= j + k."""
         mismatches = []
         for j in range(7):
             for k in range(j, 7):
                 for size in range(j + k + 1):
                     for nu in partitions_of(size):
-                        if reduced_two_row(j, k, nu) != reduced_kronecker(
-                            one_row(j), one_row(k), nu, cache=cache
-                        ):
+                        if reduced_two_row(j, k, nu) != value(one_row(j), one_row(k), nu):
                             mismatches.append(("row", j, k, nu))
-                        if j >= 1 and reduced_hook(j, k, nu) != reduced_kronecker(
-                            (1,) * j, (1,) * k, nu, cache=cache
-                        ):
+                        if j >= 1 and reduced_hook(j, k, nu) != value((1,) * j, (1,) * k, nu):
                             mismatches.append(("hook", j, k, nu))
         return mismatches
 
+    pairs = {(one_row(j), one_row(k)) for j in range(7) for k in range(j, 7)}
+    pairs |= {((1,) * j, (1,) * k) for j in range(1, 7) for k in range(j, 7)}
     with criterion(5, "closed forms match the character engine, cold", 900):
         clear_caches()
-        assert compare_all(CoefficientCache(cache_path)) == []
-    with criterion(5, "closed forms match the character engine, warm", 60):
+        assert compare_all(reduced_kronecker) == []
+        cache = CoefficientCache(cache_path)
+        for pair in sorted(pairs):
+            reduced_tensor_decompose(*pair, cache=cache)
+    with criterion(5, "closed forms match the products read back from the file, warm", 60):
         clear_caches()
-        assert compare_all(CoefficientCache(cache_path)) == []
+        stored = CoefficientCache(cache_path)
+        assert len(stored) == len(pairs)
+        assert compare_all(lambda lam, mu, nu: stored.get(lam, mu).get(nu, 0)) == []
 
 
 def test_criterion_6_interval_inequalities():

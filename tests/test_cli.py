@@ -255,10 +255,23 @@ def redkron_line(value):
     return cache_line("redkron", "1", "1", "1", value)
 
 
-def planted_lines(values):
-    """Records of each value for (1),(1),(2), (),(2),(2) and (1),(3),(3), in order."""
-    triples = (("1", "1", "2"), ("-", "2", "2"), ("1", "3", "3"))
-    return "".join(cache_line("redkron", *triple, v) + "\n" for triple in triples for v in values)
+def product_line(product, lam="1", mu="3"):
+    return json.dumps(
+        {"kind": "redtensor", "lambda": lam, "mu": mu, "product": product,
+         "engineVersion": ENGINE_VERSION}
+    )
+
+
+# The true [1]*[3], and a wrong one with the same dimension sum at n = 8:
+# each gives 196 = f^(7,1) f^(5,3), so only the conflict rule keeps the
+# wrong one out.
+PRODUCT_1_3 = {"2": "1", "3": "1", "2,1": "1", "4": "1", "3,1": "1"}
+CANCELLING_1_3 = {"-": "6", "3": "2", "2,1": "1", "3,1": "1"}
+
+
+def planted_lines(products):
+    """A [1]*[3] record for each product, in order."""
+    return "".join(product_line(product) + "\n" for product in products)
 
 
 def cold_scan(capsys, boxes, *flags):
@@ -269,19 +282,24 @@ def cold_scan(capsys, boxes, *flags):
 
 
 class TestUntrustedCache:
-    """Corrupt, negative and conflicting records never decide an answer.
+    """Corrupt, wrong and conflicting records never decide an answer.
 
     Single-input commands take no cache, so these records are planted for
-    midpoint-reduced scans. (1),(1),(2) is on the larger side of the 2-box
-    scan and (),(2),(2) on its smaller side; both are top-degree triples
-    (|nu| = |lam| + |mu|), whose values the engine takes from LR
-    coefficients and never reads from a cache. (1),(3),(3) is below the top
-    degree, on the smaller side of the 4-box scan, so the scan reads its
-    record. All three true values are 1, so trusting any of the planted
-    values would add a violation.
+    midpoint-reduced scans. [1]*[3] is the smaller side of the pair (1),(3)
+    in the 4-box scan, against [2]*[2], whose coefficients at () and (3) are
+    1. So trusting a [1]*[3] record with a larger coefficient there would add
+    a violation.
     """
 
-    @pytest.mark.parametrize("values", [["-4"], ["1_0"], ["7", "1"], ["1", "5"]])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [{**PRODUCT_1_3, "3": "-4"}],
+            [{**PRODUCT_1_3, "3": "1_0"}],
+            [CANCELLING_1_3, PRODUCT_1_3],
+            [PRODUCT_1_3, CANCELLING_1_3],
+        ],
+    )
     def test_redkron_prints_true_value(self, capsys, tmp_path, values):
         path = tmp_path / "c.jsonl"
         path.write_text(planted_lines(values))
@@ -290,30 +308,33 @@ class TestUntrustedCache:
         assert cold_scan(capsys, 4, "--cache", str(path)) == expected
 
     def test_well_formed_wrong_record_changes_nothing(self, capsys, tmp_path):
-        """The true value of (1),(1),(2) is 1, so a planted 0 would make a
-        violation if the scan read it; top-degree values are never read."""
+        """The true [1]*[1] has (2) with coefficient 1, so a record without it
+        would make a violation if the scan trusted it."""
         path = tmp_path / "c.jsonl"
-        path.write_text(cache_line("redkron", "1", "1", "2", "0") + "\n")
+        path.write_text(product_line({"-": "1", "1": "1", "1,1": "1"}, mu="1") + "\n")
         assert cold_scan(capsys, 2, "--cache", str(path)) == cold_scan(capsys, 2)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a well-formed wrong record below the top degree still decides a scan "
-        "report (ROADMAP item 13)",
-    )
-    def test_well_formed_wrong_lower_degree_record_changes_nothing(self, capsys, tmp_path):
-        """The true value of (1),(3),(3) is 1, so a planted 2 makes the violation
-        1/3/3 (lhs 1, rhs 2) if the scan trusts it."""
+    def test_well_formed_wrong_lower_degree_record_changes_nothing(
+        self, capsys, tmp_path, caplog
+    ):
+        """The true coefficient of (3) in [1]*[3] is 1, so a planted 2 makes the
+        violation 1/3/3 (lhs 1, rhs 2) if the scan trusts it. The record fails
+        the dimension identity, so the load skips it and names its line."""
         path = tmp_path / "c.jsonl"
-        path.write_text(cache_line("redkron", "1", "3", "3", "2") + "\n")
-        assert cold_scan(capsys, 4, "--cache", str(path)) == cold_scan(capsys, 4)
+        path.write_text(product_line({**PRODUCT_1_3, "3": "2"}) + "\n")
+        expected = cold_scan(capsys, 4)
+        with caplog.at_level(logging.WARNING):
+            assert cold_scan(capsys, 4, "--cache", str(path)) == expected
+        assert expected[0] == 0
+        assert [r.message.split(": ")[0] for r in caplog.records] == [f"{path}:1"]
+        assert "fails the dimension identity" in caplog.records[0].message
 
     def test_redkron_skips_non_string_partition_field(self, capsys, tmp_path):
         path = tmp_path / "c.jsonl"
-        line = json.loads(redkron_line("1"))
+        line = json.loads(product_line(PRODUCT_1_3))
         line["lambda"] = 5
         path.write_text(json.dumps(line) + "\n")
-        assert cold_scan(capsys, 2, "--cache", str(path)) == cold_scan(capsys, 2)
+        assert cold_scan(capsys, 4, "--cache", str(path)) == cold_scan(capsys, 4)
 
     def test_verify_paper_never_reads_the_cache(self, capsys, tmp_path, monkeypatch):
         """A well-formed wrong golden value in a planted cache cannot fail verify."""
@@ -334,7 +355,7 @@ class TestUntrustedCache:
     def test_redtensor_ignores_negative_value(self, capsys, tmp_path):
         """Scan workers, which expand the stable products, skip a negative record too."""
         path = tmp_path / "c.jsonl"
-        path.write_text(planted_lines(["-4"]))
+        path.write_text(planted_lines([{**PRODUCT_1_3, "3": "-4"}]))
         expected = cold_scan(capsys, 4, "--jobs", "2")
         assert cold_scan(capsys, 4, "--jobs", "2", "--cache", str(path)) == expected
 
@@ -382,9 +403,11 @@ class TestOnlyReducedValuesAreCached:
         assert old_kinds_file.read_text() == before
 
     def test_old_kind_lines_are_skipped(self, capsys, old_kinds_file, monkeypatch, caplog):
+        """Per-triple redkron lines are an old kind too; a product record answers."""
         with old_kinds_file.open("a") as fh:
             fh.write(redkron_line("1") + "\n")
-        expected = cold_scan(capsys, 2)
+            fh.write(product_line(PRODUCT_1_3) + "\n")
+        expected = cold_scan(capsys, 4)
         computed = []
         compute = coefficients.kronecker_sequence
 
@@ -394,9 +417,10 @@ class TestOnlyReducedValuesAreCached:
 
         monkeypatch.setattr(coefficients, "kronecker_sequence", recorded)
         with caplog.at_level(logging.WARNING):
-            assert cold_scan(capsys, 2, "--cache", str(old_kinds_file)) == expected
-        assert sum("unknown kind" in r.message for r in caplog.records) == 2
-        assert computed and ((1,), (1,), (1,)) not in computed  # the redkron record answered
+            assert cold_scan(capsys, 4, "--cache", str(old_kinds_file)) == expected
+        assert sum("unknown kind" in r.message for r in caplog.records) == 3
+        assert computed  # the product record answered [1]*[3]
+        assert [t for t in computed if {t[0], t[1]} == {(1,), (3,)}] == []
 
     def test_scan_report_ignores_old_kind_lines(self, capsys, old_kinds_file, tmp_path):
         with old_kinds_file.open("a") as fh:
@@ -473,12 +497,14 @@ class TestCacheSurface:
         assert "unrecognized arguments: --cache c.jsonl" in err
 
 
-# Wrong records for three triples whose true reduced value is 1.
+# Wrong records for three triples whose true reduced value is 1, and a
+# wrong [1]*[1] that passes the dimension identity (3 f^(3,1) = 9 at n = 4).
 # Each command below would print a different result if it trusted them.
 PLANTED = (
     cache_line("redkron", "1", "1", "1", "0") + "\n"
     + cache_line("redkron", "1", "1", "2", "0") + "\n"
     + cache_line("redkron", "-", "1,1", "1,1", "5") + "\n"
+    + product_line({"1": "3"}, mu="1") + "\n"
 )
 
 

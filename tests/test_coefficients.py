@@ -33,6 +33,7 @@ from kroncave.partitions import (
     conjugate,
     dvir_inequalities,
     murnaghan_inequalities,
+    pad,
     part,
     partitions_of,
     partitions_up_to,
@@ -631,6 +632,33 @@ class TestReducedTensorDecompose:
             calls.clear()
             reduced_kronecker(lam, mu, nu)
             assert len(calls) == 2, nu
+
+    def test_dimension_identity_from_the_stability_bound(self):
+        """Each product, evaluated at the identity of S_n, gives
+        f^{lam[n]} f^{mu[n]} at n = |lam| + |mu| + lam1 + mu1 and at n + 1.
+        At n - 1 it fails whenever lam and mu are both nonempty, so the bound
+        at which kroncave.store checks every record is tight."""
+
+        def holds(lam, mu, rep, n):
+            try:
+                total = sum(c * syt_count(pad(nu, n)) for nu, c in rep.items())
+            except PadTooSmall:
+                return False
+            return total == syt_count(pad(lam, n)) * syt_count(pad(mu, n))
+
+        shapes = list(partitions_up_to(8))
+        pairs = [
+            pair
+            for pair in itertools.combinations_with_replacement(shapes, 2)
+            if sum(map(sum, pair)) <= 8
+        ]
+        assert len(pairs) == 223
+        for lam, mu in pairs:
+            rep = reduced_tensor_decompose(lam, mu).coeffs
+            n = sum(lam) + sum(mu) + part(lam, 1) + part(mu, 1)
+            assert holds(lam, mu, rep, n) and holds(lam, mu, rep, n + 1), (lam, mu)
+            if lam and mu:
+                assert not holds(lam, mu, rep, n - 1), (lam, mu)
 
     def test_scan_asks_reduced_kronecker_below_the_top_degree_only(self, monkeypatch):
         clear_caches()

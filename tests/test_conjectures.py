@@ -31,7 +31,7 @@ from kroncave.partitions import (
     partitions_up_to,
     syt_count,
 )
-from kroncave.store import CoefficientCache, parse_partition_text
+from kroncave.store import ENGINE_VERSION, CoefficientCache, parse_partition_text
 
 from oracles import jacobi_trudi_kronecker
 
@@ -386,7 +386,7 @@ class TestScan:
         assert opens.count("r") == 1
         assert 0 < opens.count("a") <= report.pairs_scanned
         assert len(opens) == 1 + opens.count("a")
-        assert path.read_bytes().count(b"\n") == 304
+        assert path.read_bytes().count(b"\n") == 19
         opens.clear()
         clear_caches()
         warm = scan("midpoint_reduced", 6, cache=CoefficientCache(str(path)))
@@ -396,7 +396,7 @@ class TestScan:
     def test_raising_serial_scan_keeps_what_it_computed(self, tmp_path, monkeypatch):
         """A scan whose check raises keeps the records of the payloads before it,
         and those the raising check computed: the leading lines of a whole
-        scan's file. The check of (2),(4) computes 28 new values."""
+        scan's file. The check of (2),(4) computes one new product, [2]*[4]."""
         clear_caches()
         whole = tmp_path / "whole.jsonl"
         scan("midpoint_reduced", 6, cache=CoefficientCache(str(whole)))
@@ -418,7 +418,7 @@ class TestScan:
                 scan("midpoint_reduced", 6, cache=CoefficientCache(str(files[computed])))
         before, kept = (files[flag].read_text().splitlines() for flag in (False, True))
         assert whole.read_text().splitlines()[: len(kept)] == kept
-        assert len(kept) == len(before) + 28
+        assert len(kept) == len(before) + 1
 
     @pytest.mark.parametrize(
         "name, max_boxes, expand",
@@ -552,14 +552,15 @@ class TestPinnedChecks:
     @pytest.mark.parametrize(
         "name, max_boxes, line_count, digest",
         [
-            ("midpoint_reduced", 6, 304, "f0cbc11ca7fff9799f456d11a5571c7c2856e2b4bec5dce38b1e856ee0264a20"),
-            ("sort", 5, 354, "6198db17d6b00ba770bfce320d8c96c4b34c1aaea447a2016e3efcbf838bb42a"),
-            ("chain", 5, 354, "44b8f58c85cac46e143f66ee4f84a81bdc798cf02fd75f295993c1fec85b13ca"),
+            ("midpoint_reduced", 6, 19, "f52ef594af6a5c25e24c23141011f551b142c8cc8a4faaa00b8aea8d618a2154"),
+            ("sort", 5, 39, "59a64a4f04d1571f55366bf5992289d1f818ffa6b92f07ee44956f61587bea79"),
+            ("chain", 5, 39, "120d9f373da828d25bea95bad17c9684a10c805ff7a38d3302e287e23492aae9"),
         ],
     )
     def test_cold_cache_file_bytes(self, tmp_path, name, max_boxes, line_count, digest):
-        """A cold serial scan appends its records in evaluation order, so
-        these bytes change if a check computes its two sides in another order."""
+        """A cold serial scan appends one record per product in evaluation
+        order, so these bytes change if a check computes its two sides in
+        another order."""
         clear_caches()
         path = tmp_path / "values.jsonl"
         scan(name, max_boxes, cache=CoefficientCache(str(path)))
@@ -573,6 +574,20 @@ class TestGoldenSuite:
         results = run_golden_suite()
         failed = [c.name for c in results if not c.passed]
         assert not failed, failed
+
+    def test_cache_is_neither_read_nor_written(self, tmp_path):
+        """A file holding 5 for the golden triple, whose value is 6, decides no
+        check, and the suite appends nothing to it."""
+        path = tmp_path / "golden.jsonl"
+        path.write_text(json.dumps(
+            {"kind": "redkron", "lambda": "4,2,2", "mu": "6,4,2", "nu": "8,6,4,2",
+             "value": "5", "engineVersion": ENGINE_VERSION}
+        ) + "\n")
+        before = path.read_bytes()
+        clear_caches()
+        results = run_golden_suite(cache=CoefficientCache(str(path)))
+        assert [c.name for c in results if not c.passed] == []
+        assert path.read_bytes() == before
 
     def test_idempotent_and_deterministic(self):
         first = [(c.name, c.passed, c.detail) for c in run_golden_suite()]

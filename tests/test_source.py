@@ -191,3 +191,53 @@ def test_no_module_branches_on_a_row_name():
     """What a scan row needs is a fact of its SCANS entry, so a new row is one edit."""
     found = package_nodes(compares_to_a_row_name)
     assert not found, found
+
+
+# The only functions that read or write a persistent cache: the engine's
+# stable product, and the scan that buffers its workers' writes.
+CACHE_CALLERS = {
+    ("coefficients.py", "reduced_tensor_decompose"),
+    ("conjectures.py", "scan"),
+    ("conjectures.py", "_merge"),
+}
+
+
+def cache_calls(tree):
+    """(enclosing function, line) of each get/put/put_many call on a name
+    that holds a cache: one spelled with "cache", or a scan's view."""
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("get", "put", "put_many")
+            and isinstance(node.func.value, ast.Name)
+            and ("cache" in node.func.value.id.lower() or node.func.value.id == "view")
+        ):
+            yield function, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    yield from visit(tree, None)
+
+
+def test_only_the_stable_product_and_the_scan_touch_a_cache():
+    found = {(name, function) for name, tree in package_trees() for function, _ in cache_calls(tree)}
+    assert found == CACHE_CALLERS
+
+
+def test_single_triple_functions_take_no_cache():
+    """A cache holds whole stable products, so nothing reads or writes one triple."""
+    params = {
+        node.name: [a.arg for a in (*node.args.args, *node.args.kwonlyargs)]
+        for _, tree in package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("reduced_kronecker", "check_murnaghan_littlewood")
+    }
+    assert params == {
+        "reduced_kronecker": ["lam", "mu", "nu"],
+        "check_murnaghan_littlewood": ["budget"],
+    }
