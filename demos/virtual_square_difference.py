@@ -10,7 +10,7 @@ sitting on the one-column class: the sign representation witnesses the
 failure.
 """
 
-from kroncave import check_midpoint_kronecker, format_partition, midpoint, tensor_decompose
+from kroncave import check_payload, format_partition, midpoint, tensor_decompose
 
 lam, mu = (4, 4), (2, 2, 2, 2)
 mid = midpoint(lam, mu)
@@ -22,12 +22,12 @@ for nu, coeff in diff.items():
     marker = "   <-- negative" if coeff < 0 else ""
     print(f"  {format_partition(nu):>18}  {coeff:+d}{marker}")
 
-report = check_midpoint_kronecker(lam, mu)
+report = check_payload("midpoint_kronecker", (lam, mu))
 print(f"\ncheck verdict: {len(report.violations)} violation(s)")
 for v in report.violations:
     print(f"  target {v.nu}: midpoint side {v.lhs} < product side {v.rhs}")
 
 print("\nThe same comparison in S_10 for (6,4) vs (2,2,2,2,2):")
-report = check_midpoint_kronecker((6, 4), (2, 2, 2, 2, 2))
+report = check_payload("midpoint_kronecker", ((6, 4), (2, 2, 2, 2, 2)))
 for v in report.violations:
     print(f"  target {v.nu}: {v.lhs} < {v.rhs}")

@@ -15,7 +15,6 @@ from .coefficients import (
     CompareResult,
     VirtualRep,
     clear_caches,
-    kostka,
     kronecker,
     kronecker_sequence,
     lr_coefficient,
@@ -34,14 +33,10 @@ from .conjectures import (
     GoldenCheck,
     Violation,
     ViolationReport,
-    check_chain_conjecture,
     check_dim_log_concavity,
-    check_midpoint_kronecker,
-    check_midpoint_reduced,
     check_murnaghan_littlewood,
+    check_payload,
     check_saturation,
-    check_schur_log_concavity,
-    check_sort_conjecture,
     run_golden_suite,
     scan,
 )

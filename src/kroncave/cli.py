@@ -26,8 +26,8 @@ from .coefficients import (
 from .conjectures import (
     SCANS,
     check_dim_log_concavity,
+    check_payload,
     check_saturation,
-    run_check,
     run_golden_suite,
     scan,
 )
@@ -83,7 +83,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_check(args) -> int:
     payload = (args.lam, args.mu) if args.pairs else args.part
-    report = run_check(args.conjecture, payload)
+    report = check_payload(args.conjecture, payload)
     return _report_exit(report, args.out)
 
 

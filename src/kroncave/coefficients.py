@@ -169,8 +169,18 @@ def _class_sum(support, weights, nu: Partition, n: int) -> int:
     return _multiplicity(total, nu, n)
 
 
+def _check_partitions(*ps: Partition) -> None:
+    """Raise ValueError unless every argument is a partition (conjugate checks)."""
+    for p in ps:
+        conjugate(tuple(p))
+
+
 def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Multiplicity of nu in the symmetric group tensor product lam (x) mu."""
+    """Multiplicity of nu in the symmetric group tensor product lam (x) mu.
+
+    dvir_inequalities conjugates all three, so a non-partition raises
+    ValueError before any shortcut.
+    """
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         raise SizeMismatch(f"sizes differ: {sum(lam)}, {sum(mu)}, {sum(nu)}")
@@ -327,6 +337,7 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     row first) so row weakness, column strictness, and the lattice property
     of the reading word can all prune each placement.
     """
+    _check_partitions(lam, mu, nu)
     if sum(nu) != sum(lam) + sum(mu):
         return 0
     if not _contains(nu, lam) or not _contains(nu, mu):
@@ -374,6 +385,7 @@ def lr_expand(lam: Partition, mu: Partition) -> dict[Partition, int]:
     Each completed filling adds 1 to its outer shape.
     """
     lam, mu = tuple(lam), tuple(mu)
+    _check_partitions(lam, mu)
     height = len(lam) + len(mu)
     out: dict[Partition, int] = {}
 
@@ -412,22 +424,6 @@ def _lr_square(p: Partition) -> dict[Partition, int]:
     return lr_expand(p, p)
 
 
-def kostka(lam: Partition, mu: Partition) -> int:
-    """Weight multiplicity: semistandard tableaux of shape lam and content mu.
-
-    Computed through the LR identity with nu_i the suffix sums of mu and
-    kappa the same sums shifted by one row.
-    """
-    if sum(lam) != sum(mu):
-        raise SizeMismatch(f"sizes differ: {sum(lam)} vs {sum(mu)}")
-    n = len(mu)
-    nu = tuple(sum(mu[j] for j in range(i, n)) for i in range(n))
-    kappa = tuple(
-        s for s in (sum(mu[j] for j in range(i + 1, n)) for i in range(n)) if s > 0
-    )
-    return lr_coefficient(kappa, lam, nu)
-
-
 def stabilization_start(lam: Partition, mu: Partition, nu: Partition) -> int:
     """First padded size d of the stable range, by the Briand-Orellana-Rosas bound."""
     return max(
@@ -456,6 +452,7 @@ def reduced_kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
     documented in the module docstring.
     """
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
+    _check_partitions(lam, mu, nu)
     if not murnaghan_inequalities(lam, mu, nu):
         return 0
     key = ((lam, mu) if lam <= mu else (mu, lam), nu)
@@ -490,6 +487,7 @@ def reduced_tensor_decompose(lam: Partition, mu: Partition, *, cache=None) -> Vi
     attached is written to it; a memo hit reads and writes nothing.
     """
     lam, mu = tuple(lam), tuple(mu)
+    _check_partitions(lam, mu)
     pair = (lam, mu) if lam <= mu else (mu, lam)
     coeffs = _STABLE_PRODUCTS.get(pair)
     if coeffs is None and cache is not None:
@@ -511,13 +509,17 @@ def reduced_tensor_decompose(lam: Partition, mu: Partition, *, cache=None) -> Vi
 
 def stable_ring_multiply(a: VirtualRep, b: VirtualRep, *, cache=None) -> VirtualRep:
     """Bilinear extension of the single-class stable product."""
+    blocks = [
+        (cp * cq, reduced_tensor_decompose(p, q, cache=cache))
+        for p, cp in a.items()
+        for q, cq in b.items()
+    ]
+    if len(blocks) == 1 and blocks[0][0] == 1:
+        return blocks[0][1]  # two single classes: their product, not a copy
     out: dict[Partition, int] = {}
-    for p, cp in a.items():
-        for q, cq in b.items():
-            block = reduced_tensor_decompose(p, q, cache=cache)
-            factor = cp * cq
-            for nu, g in block.coeffs.items():
-                out[nu] = out.get(nu, 0) + factor * g
+    for factor, block in blocks:
+        for nu, g in block.coeffs.items():
+            out[nu] = out.get(nu, 0) + factor * g
     return VirtualRep(out)
 
 

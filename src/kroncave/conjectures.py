@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from functools import partial, reduce
 from itertools import zip_longest
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -24,7 +25,6 @@ from .coefficients import (
     lr_coefficient,
     lr_expand,
     reduced_kronecker,
-    reduced_tensor_decompose,
     stable_ring_compare,
     stable_ring_multiply,
     tensor_decompose,
@@ -106,12 +106,8 @@ class Ring(NamedTuple):
 def _stable_product(factors, cache) -> VirtualRep:
     """Left-associated stable product of single classes; associativity is
     verified separately, so the bracketing only fixes the evaluation order."""
-    if len(factors) == 1:
-        return VirtualRep.single(factors[0])
-    acc = reduced_tensor_decompose(*factors[:2], cache=cache)
-    for p in factors[2:]:
-        acc = stable_ring_multiply(acc, VirtualRep.single(p), cache=cache)
-    return acc
+    multiply = partial(stable_ring_multiply, cache=cache)
+    return reduce(multiply, map(VirtualRep.single, factors))
 
 
 # The engine memoizes stable products. The fixed-size rings memoize squares
@@ -145,10 +141,14 @@ class ScanRow(NamedTuple):
         return self.ring is _STABLE
 
 
-# Each inequality is one row. scan() reaches the one check body, check_payload,
-# through the module global run_check, looked up at call time, so rebinding
-# both names reaches every scan. perfbench's conjectures.check span relies on
-# this: it wraps every check_* global and each global bound to the same object.
+# Each inequality is one row, and check_payload checks every row. scan() and
+# its workers look check_payload up as a module global at call time, so
+# rebinding it reaches every scan (perfbench's conjectures.check span does).
+# The stable sort and chain inequalities are false, so their scans report
+# violations. sort fails from 4 boxes on: (1,1), (2) splits to (2,1), (1),
+# whose product vanishes at target (1) by the size triangle inequality.
+# chain with two inputs is sort; with three its smallest failure is
+# (1), (1,1), (2), at 5 boxes.
 SCANS = {
     "midpoint_reduced": ScanRow(_STABLE, _midpoint_squared),
     "midpoint_kronecker": ScanRow(_SYMMETRIC, _midpoint_squared),
@@ -196,43 +196,6 @@ def check_payload(name: str, payload, *, cache=None) -> ViolationReport:
     return ViolationReport(subject, scanned, 0, violations, _elapsed_ms(start))
 
 
-run_check = check_payload
-
-
-def check_midpoint_reduced(lam: Partition, mu: Partition, *, cache=None) -> ViolationReport:
-    """Does the squared midpoint class dominate the stable product of the pair?"""
-    return check_payload("midpoint_reduced", (lam, mu), cache=cache)
-
-
-def check_midpoint_kronecker(lam: Partition, mu: Partition) -> ViolationReport:
-    """Unstable analog at fixed S_n; expected to fail on known pairs."""
-    return check_payload("midpoint_kronecker", (lam, mu))
-
-
-def check_sort_conjecture(lam: Partition, mu: Partition, *, cache=None) -> ViolationReport:
-    """Does the sorted-split pair dominate the original pair in the stable ring?
-
-    Stable analog of the sorted-split inequality; expected to fail on known
-    pairs, from 4 boxes on: (1,1), (2) splits to (2,1), (1), whose product
-    vanishes at target (1) by the size triangle inequality.
-    """
-    return check_payload("sort", (lam, mu), cache=cache)
-
-
-def check_chain_conjecture(parts: Sequence[Partition], *, cache=None) -> ViolationReport:
-    """n-fold version: interleaved splits of the merged parts vs the inputs.
-
-    Stable analog of the interleave inequality; expected to fail on known
-    inputs. With two inputs it is the sorted-split check, failing from 4 boxes
-    on; with three the smallest failure is (1), (1,1), (2), at 5 boxes.
-
-    The chain row of SCANS, run by check_payload: its subject is "chain n=N
-    parts=...", its violation records carry the input list and the split list
-    as ';'-joined texts, and an empty list raises ValueError.
-    """
-    return check_payload("chain", parts, cache=cache)
-
-
 def check_saturation(
     lam: Partition,
     mu: Partition,
@@ -270,11 +233,6 @@ def check_dim_log_concavity(lam: Partition, mu: Partition, d: int) -> DimLogConc
     lhs = syt_count(pad(mid, d)) ** 2
     rhs = syt_count(pad(lam, d)) * syt_count(pad(mu, d))
     return DimLogConcavity(lhs >= rhs, lhs, rhs)
-
-
-def check_schur_log_concavity(lam: Partition, mu: Partition) -> ViolationReport:
-    """Midpoint-squared LR coefficients vs the pair's, over all same-size targets."""
-    return check_payload("schur_lr", (lam, mu))
 
 
 def check_murnaghan_littlewood(budget: int) -> ViolationReport:
@@ -354,26 +312,11 @@ def _worker_init(cache) -> None:
     _WORKER_CACHE = cache
 
 
-def _checked(name: str, payload, view):
-    """(violations, the cache records the check left in its view)."""
-    violations = run_check(name, payload, cache=view).violations
-    return violations, (() if view is None else view.drain())
-
-
 def _worker_task(task):
-    """Pool entry point: _checked against this worker's cache view."""
-    return _checked(*task, _WORKER_CACHE)
-
-
-def _merge(results, cache) -> list[Violation]:
-    """Fold task results in enumeration order, appending each task's cache
-    records with one put_many."""
-    violations: list[Violation] = []
-    for found, records in results:
-        violations.extend(found)
-        if records:
-            cache.put_many(records)
-    return violations
+    """Pool entry point: the violations of one payload, checked against this
+    worker's cache view, and the cache records the check left in it."""
+    violations = check_payload(*task, cache=_WORKER_CACHE).violations
+    return violations, (() if _WORKER_CACHE is None else _WORKER_CACHE.drain())
 
 
 def scan(
@@ -391,9 +334,10 @@ def scan(
     skipped; a dispatched pair that raises is an error. Up to
     min(jobs, dispatched payloads, CPUs) workers run in parallel, and none
     when that is 1; the merge is a fold in enumeration order, so reports do
-    not depend on the schedule. Every check writes to a view of the cache
-    (CoefficientCache.view), and the parent appends each payload's records
-    with one put_many.
+    not depend on the schedule. A serial scan passes the cache (stable rows
+    only) to each check, which appends each product as it is computed. Pool
+    workers check against a view of it (CoefficientCache.view), and the
+    parent puts the records each task returns, in task order.
     """
     row = _scan_row(conjecture)
     if max_boxes < 0:
@@ -416,23 +360,25 @@ def scan(
     # A forked pool starts every worker up front, so never ask for more
     # workers than there are tasks or CPUs.
     workers = min(jobs, len(payloads), os.cpu_count() or 1)
-    view = cache.view() if cache is not None and row.stable else None
+    if not row.stable:
+        cache = None
+    violations: list[Violation] = []
     if workers <= 1:
-        try:
-            violations = _merge((_checked(name, payload, view) for payload in payloads), cache)
-        finally:  # a check that raises keeps the records it computed
-            if view is not None:
-                cache.put_many(view.drain())
+        for payload in payloads:
+            violations.extend(check_payload(name, payload, cache=cache).violations)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
+        view = None if cache is None else cache.view()
         tasks = ((name, payload) for payload in payloads)
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_worker_init, initargs=(view,)
         ) as pool:
             chunk = max(1, len(payloads) // (workers * 8))
-            results = pool.map(_worker_task, tasks, chunksize=chunk)
-            violations = _merge(results, cache)
+            for found, records in pool.map(_worker_task, tasks, chunksize=chunk):
+                violations.extend(found)
+                for pair, product in records:
+                    cache.put(*pair, product)
     skipped = len(candidates) - len(payloads)
     return ViolationReport(subject, len(payloads), skipped, violations, _elapsed_ms(start))
 
@@ -512,7 +458,7 @@ def run_golden_suite(stretch: bool = False, cache=None) -> list[GoldenCheck]:
     results.append(_golden("rectangle-parity-family", parity_family))
 
     def s10_counterexample():
-        report = check_midpoint_kronecker((6, 4), (2, 2, 2, 2, 2))
+        report = check_payload("midpoint_kronecker", ((6, 4), (2, 2, 2, 2, 2)))
         return bool(report.violations), f"{len(report.violations)} violating targets"
 
     results.append(_golden("s10-midpoint-counterexample", s10_counterexample))

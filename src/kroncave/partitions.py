@@ -59,6 +59,11 @@ def pad(p: Partition, d: int) -> Partition:
 
 @lru_cache(maxsize=None)
 def conjugate(p: Partition) -> Partition:
+    """The transposed diagram. Raises ValueError unless p has positive,
+    weakly decreasing parts; a partition is checked once per clear_caches(),
+    so a function that validates through here pays a cache hit after that."""
+    if any(x <= 0 for x in p) or any(a < b for a, b in zip(p, p[1:])):
+        raise ValueError(f"not a partition: {p}")
     if not p:
         return EMPTY
     return tuple(sum(1 for x in p if x >= i) for i in range(1, p[0] + 1))

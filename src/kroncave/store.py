@@ -125,9 +125,8 @@ class CoefficientCache:
     Reads tolerate corrupt or partially written lines and records that fail
     the dimension identity (skipped with a warning), treat pairs whose
     records disagree as misses (also with a warning) and ignore records from
-    other engine versions. Each put_many (and so each put) appends its new
-    lines under one open and one advisory lock, when the platform provides
-    one.
+    other engine versions. Each put appends its line under one open and one
+    advisory lock, when the platform provides one.
     """
 
     def __init__(self, path: str):
@@ -202,31 +201,24 @@ class CoefficientCache:
         return self._load().get(_canonical_pair(lam, mu))
 
     def put(self, lam: Partition, mu: Partition, product: dict):
-        self.put_many([((lam, mu), product)])
-
-    def put_many(self, records):
-        """put(*pair, product) for each (pair, product) in order, appending every
-        new line under one open and one lock."""
+        """Record the product of lam and mu, appending its line unless the
+        index already holds it."""
         index = self._load()
-        new = []
-        for pair, product in records:
-            key = _canonical_pair(*pair)
-            if index.get(key) == product:
-                continue
-            index[key] = product
-            if key not in self._conflicts:  # one more line cannot settle a conflict
-                new.append((key, product))
-        if new:
-            self._write(new)
+        key = _canonical_pair(lam, mu)
+        if index.get(key) == product:
+            return
+        index[key] = product
+        if key not in self._conflicts:  # one more line cannot settle a conflict
+            self._write(key, product)
 
-    def _write(self, records: list):
-        text = "".join(_record_line(key, product) for key, product in records)
+    def _write(self, key, product: dict):
+        line = _record_line(key, product)
         try:
             with open(self.path, "a", encoding="utf-8") as fh:
                 if fcntl is not None:
                     fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
                 try:
-                    fh.write(text)
+                    fh.write(line)
                     fh.flush()
                 finally:
                     if fcntl is not None:
@@ -236,7 +228,7 @@ class CoefficientCache:
 
     def view(self) -> "RecordingCache":
         """A RecordingCache on this file that starts from this cache's records,
-        so a scan and its workers parse the file once."""
+        so a scan's workers inherit the parsed file instead of parsing it."""
         view = RecordingCache(self.path)
         view._index = dict(self._load())
         view._conflicts = set(self._conflicts)
@@ -249,18 +241,17 @@ class CoefficientCache:
 class RecordingCache(CoefficientCache):
     """Cache view for scans: reads the shared file, buffers its writes.
 
-    A view never writes the file. scan() checks each payload against a view
-    (CoefficientCache.view), in its own process or in a worker, then drains
-    the view's ((lam, mu), product) pairs and appends them to the real cache
-    with one put_many.
+    A view never writes the file. Each scan worker checks its payloads
+    against a view (CoefficientCache.view) and returns the drained
+    ((lam, mu), product) pairs, which the parent puts into the real cache.
     """
 
     def __init__(self, path: str):
         super().__init__(path)
         self.buffer: list[tuple] = []
 
-    def _write(self, records: list):
-        self.buffer.extend(records)
+    def _write(self, key, product: dict):
+        self.buffer.append((key, product))
 
     def drain(self) -> list[tuple]:
         out, self.buffer = self.buffer, []

@@ -38,34 +38,6 @@ def syt_count_bruteforce(shape):
     return sum(1 for _ in standard_tableaux(shape))
 
 
-def ssyt_count_bruteforce(shape, content):
-    """Semistandard fillings of the shape with the given content, by backtracking."""
-    rows = len(shape)
-    grid = [[0] * shape[r] for r in range(rows)]
-    left = list(content)
-    cells = [(r, c) for r in range(rows) for c in range(shape[r])]
-
-    def fill(idx):
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        lo = grid[r][c - 1] if c else 1
-        total = 0
-        for v in range(lo, len(content) + 1):
-            if left[v - 1] == 0:
-                continue
-            if r and v <= grid[r - 1][c]:
-                continue
-            grid[r][c] = v
-            left[v - 1] -= 1
-            total += fill(idx + 1)
-            left[v - 1] += 1
-            grid[r][c] = 0
-        return total
-
-    return fill(0)
-
-
 def _is_lattice(word):
     counts = {}
     for v in word:

@@ -28,8 +28,8 @@ from kroncave.coefficients import (
 from kroncave.conjectures import (
     EXPECTED_SQUARE_DIFFERENCE_S8,
     check_dim_log_concavity,
-    check_midpoint_kronecker,
     check_murnaghan_littlewood,
+    check_payload,
     scan,
 )
 from kroncave.errors import NotIntegral
@@ -89,7 +89,7 @@ def test_criterion_2_parity_family():
 
 def test_criterion_3_s10_counterexample():
     with criterion(3, "midpoint failure in S_10", 60):
-        report = check_midpoint_kronecker((6, 4), (2, 2, 2, 2, 2))
+        report = check_payload("midpoint_kronecker", ((6, 4), (2, 2, 2, 2, 2)))
         assert report.violations
 
 

@@ -15,7 +15,6 @@ from kroncave.characters import DEFAULT_TABLE, CharacterTable, dimension
 from kroncave.coefficients import (
     VirtualRep,
     clear_caches,
-    kostka,
     kronecker,
     kronecker_sequence,
     lr_coefficient,
@@ -46,7 +45,6 @@ from oracles import (
     littlewood_reduced_kronecker,
     lr_count_bruteforce,
     lr_filling_count,
-    ssyt_count_bruteforce,
 )
 
 
@@ -441,27 +439,6 @@ class TestLrExpand:
             assert total == math.comb(a + b, a) * syt_count(lam) * syt_count(mu), (lam, mu)
 
 
-class TestKostka:
-    def test_examples(self):
-        assert kostka((2, 1), (1, 1, 1)) == 2
-        assert kostka((1, 1), (2,)) == 0
-
-    def test_superstandard_is_unique(self):
-        for lam in partitions_up_to(6):
-            if lam:
-                assert kostka(lam, lam) == 1
-
-    def test_size_mismatch(self):
-        with pytest.raises(SizeMismatch):
-            kostka((2,), (1, 1, 1))
-
-    def test_matches_ssyt_enumeration(self):
-        for n in range(1, 7):
-            for lam in partitions_of(n):
-                for mu in partitions_of(n):
-                    assert kostka(lam, mu) == ssyt_count_bruteforce(lam, mu)
-
-
 class TestKroneckerSequence:
     def test_standard_class_trace(self):
         values = kronecker_sequence((1,), (1,), (1,), range(2, 7))
@@ -803,3 +780,25 @@ class TestInvariantChecks:
                 tensor_decompose(lam, lam)
         finally:
             clear_caches()
+
+
+@pytest.mark.parametrize(
+    "function, args",
+    [
+        (kronecker, ((3, 0), (3,), (3,))),  # g((3), (3), (3)) is 1, not 0
+        (lr_coefficient, ((1, 0), (1,), (2,))),  # c^(2)_{(1)(1)} is 1, not 0
+        (reduced_tensor_decompose, ((1, 0), (1,))),  # [1]*[1] has the term (): 1
+        (kronecker, ((1, 2), (3,), (3,))),  # as kronecker((1, 2), (2, 1), (2, 1))
+        (reduced_kronecker, ((1, 0), (5,), (1,))),  # fails the size triangle
+        (reduced_kronecker, ((2, -1), (1,), (1,))),
+        (lr_expand, ((1, 2), (1,))),  # was {(2, 2): 1}
+    ],
+    ids=["zero-part-kronecker", "zero-part-lr", "zero-part-redtensor",
+         "increasing-kronecker", "zero-part-redkron", "negative-part-redkron",
+         "increasing-lr-expand"],
+)
+def test_non_partitions_raise_before_any_shortcut(function, args):
+    """A zero, negative or increasing part is a ValueError, never a value
+    read off the size or containment checks."""
+    with pytest.raises(ValueError, match="not a partition"):
+        function(*args)

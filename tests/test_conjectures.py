@@ -11,14 +11,10 @@ from kroncave.conjectures import (
     EXPECTED_SQUARE_DIFFERENCE_S8,
     Violation,
     ViolationReport,
-    check_chain_conjecture,
     check_dim_log_concavity,
-    check_midpoint_kronecker,
-    check_midpoint_reduced,
     check_murnaghan_littlewood,
+    check_payload,
     check_saturation,
-    check_schur_log_concavity,
-    check_sort_conjecture,
     run_golden_suite,
     scan,
 )
@@ -61,43 +57,43 @@ def box_move_count(source, target):
 
 class TestMidpointReduced:
     def test_identical_pair_passes(self):
-        report = check_midpoint_reduced((2, 1), (2, 1))
+        report = check_payload("midpoint_reduced", ((2, 1), (2, 1)))
         assert report.passed and report.pairs_scanned == 1
 
     def test_small_pair_passes(self):
-        assert check_midpoint_reduced((3, 1), (1, 1)).passed
+        assert check_payload("midpoint_reduced", ((3, 1), (1, 1))).passed
 
     def test_not_integral_propagates(self):
         with pytest.raises(NotIntegral):
-            check_midpoint_reduced((2,), (1, 1))
+            check_payload("midpoint_reduced", ((2,), (1, 1)))
 
     def test_one_row_pairs_always_pass(self):
         for j in range(1, 6):
             for k in range(j, 11 - j):
                 if (j + k) % 2:
                     continue
-                assert check_midpoint_reduced((j,), (k,)).passed, (j, k)
+                assert check_payload("midpoint_reduced", ((j,), (k,))).passed, (j, k)
 
 
 class TestMidpointKronecker:
     def test_identical_pair_passes(self):
-        assert check_midpoint_kronecker((3, 1), (3, 1)).passed
+        assert check_payload("midpoint_kronecker", ((3, 1), (3, 1))).passed
 
     def test_s8_pair_fails_at_sign_class(self):
-        report = check_midpoint_kronecker((4, 4), (2, 2, 2, 2))
+        report = check_payload("midpoint_kronecker", ((4, 4), (2, 2, 2, 2)))
         found = {(v.nu, v.lhs, v.rhs) for v in report.violations}
         assert ("1,1,1,1,1,1,1,1", 0, 1) in found
 
     def test_s10_pair_fails(self):
-        report = check_midpoint_kronecker((6, 4), (2, 2, 2, 2, 2))
+        report = check_payload("midpoint_kronecker", ((6, 4), (2, 2, 2, 2, 2)))
         assert report.violations
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
-            check_midpoint_kronecker((2,), (1,))
+            check_payload("midpoint_kronecker", ((2,), (1,)))
 
     def test_violations_are_recheckable(self):
-        report = check_midpoint_kronecker((4, 4), (2, 2, 2, 2))
+        report = check_payload("midpoint_kronecker", ((4, 4), (2, 2, 2, 2)))
         for v in report.violations:
             lam = parse_partition_text(v.lam)
             mu = parse_partition_text(v.mu)
@@ -110,16 +106,16 @@ class TestMidpointKronecker:
 
 class TestSortConjecture:
     def test_one_column_pair_passes(self):
-        assert check_sort_conjecture((1, 1), (1, 1, 1, 1)).passed
+        assert check_payload("sort", ((1, 1), (1, 1, 1, 1))).passed
 
     def test_already_split_pair_passes(self):
-        report = check_sort_conjecture((2, 1), (2,))
+        report = check_payload("sort", ((2, 1), (2,)))
         assert report.passed
 
     def test_one_column_pairs_always_pass(self):
         for j in range(1, 6):
             for k in range(j, 11 - j):
-                assert check_sort_conjecture((1,) * j, (1,) * k).passed, (j, k)
+                assert check_payload("sort", ((1,) * j, (1,) * k)).passed, (j, k)
 
     def test_minimal_failing_pair_is_genuine(self):
         """The sorted-split inequality fails already at four boxes.
@@ -134,28 +130,28 @@ class TestSortConjecture:
             expected = box_move_count((d - 2, 1, 1), (d - 2, 2))
             assert expected == 1
             assert kronecker((d - 2, 1, 1), (d - 2, 2), (d - 1, 1)) == expected
-        report = check_sort_conjecture((1, 1), (2,))
+        report = check_payload("sort", ((1, 1), (2,)))
         found = {(v.nu, v.lhs, v.rhs) for v in report.violations}
         assert ("1", 0, 1) in found
 
 
 class TestChainConjecture:
     def test_single_input_is_equality(self):
-        assert check_chain_conjecture([(3, 1)]).passed
+        assert check_payload("chain", [(3, 1)]).passed
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            check_chain_conjecture([])
+            check_payload("chain", [])
 
     def test_one_column_triple_passes(self):
-        assert check_chain_conjecture([(1,), (1, 1), (1, 1, 1)]).passed
+        assert check_payload("chain", [(1,), (1, 1), (1, 1, 1)]).passed
 
     def test_two_inputs_agree_with_sort(self):
         from kroncave.conjectures import _pairs_with_total
 
         for lam, mu in _pairs_with_total(6):
-            chain = check_chain_conjecture([lam, mu])
-            sort = check_sort_conjecture(lam, mu)
+            chain = check_payload("chain", [lam, mu])
+            sort = check_payload("sort", (lam, mu))
             assert chain.passed == sort.passed, (lam, mu)
             chain_viol = {(v.nu, v.lhs, v.rhs) for v in chain.violations}
             sort_viol = {(v.nu, v.lhs, v.rhs) for v in sort.violations}
@@ -209,10 +205,10 @@ class TestDimLogConcavity:
 
 class TestSchurLogConcavity:
     def test_identical_pair(self):
-        assert check_schur_log_concavity((2, 1), (2, 1)).passed
+        assert check_payload("schur_lr", ((2, 1), (2, 1))).passed
 
     def test_small_pair(self):
-        assert check_schur_log_concavity((3, 1), (1, 1)).passed
+        assert check_payload("schur_lr", ((3, 1), (1, 1))).passed
 
     def test_golden_family_bound(self):
         from kroncave.coefficients import lr_coefficient
@@ -220,7 +216,7 @@ class TestSchurLogConcavity:
         lhs = lr_coefficient((5, 3, 2), (5, 3, 2), (8, 6, 4, 2))
         rhs = lr_coefficient((6, 4, 2), (4, 2, 2), (8, 6, 4, 2))
         assert rhs == 6 and lhs >= rhs
-        assert check_schur_log_concavity((6, 4, 2), (4, 2, 2)).passed
+        assert check_payload("schur_lr", ((6, 4, 2), (4, 2, 2))).passed
 
 
 class TestMurnaghanLittlewood:
@@ -368,9 +364,9 @@ class TestScan:
             lines.append(sorted(path.read_text(encoding="utf-8").splitlines()))
         assert lines[0] and lines[0] == lines[1]
 
-    def test_cache_file_opened_once_per_load_and_payload(self, tmp_path, monkeypatch):
-        """A scan parses its cache once (its view copies the records) and appends
-        each payload's new records under one open; a warm scan appends nothing."""
+    def test_cache_file_read_once_and_appended_once_per_product(self, tmp_path, monkeypatch):
+        """A serial scan parses its cache once and appends each product it
+        computes under one open of its own; a warm scan appends nothing."""
         from kroncave import store
 
         opens = []
@@ -383,15 +379,30 @@ class TestScan:
         path = tmp_path / "values.jsonl"
         clear_caches()
         report = scan("midpoint_reduced", 6, cache=CoefficientCache(str(path)))
-        assert opens.count("r") == 1
-        assert 0 < opens.count("a") <= report.pairs_scanned
-        assert len(opens) == 1 + opens.count("a")
         assert path.read_bytes().count(b"\n") == 19
+        assert opens == ["r"] + ["a"] * 19
         opens.clear()
         clear_caches()
         warm = scan("midpoint_reduced", 6, cache=CoefficientCache(str(path)))
         assert warm.canonical_json() == report.canonical_json()
         assert opens == ["r"]
+
+    def test_serial_scan_takes_no_cache_view(self, tmp_path, monkeypatch):
+        """A serial scan passes its cache straight to each check: with
+        CoefficientCache.view raising, it writes the same file as before."""
+        clear_caches()
+        expected = tmp_path / "expected.jsonl"
+        report = scan("midpoint_reduced", 6, cache=CoefficientCache(str(expected)))
+
+        def no_view(cache):
+            raise AssertionError("a serial scan asked for a cache view")
+
+        monkeypatch.setattr(CoefficientCache, "view", no_view)
+        clear_caches()
+        path = tmp_path / "values.jsonl"
+        again = scan("midpoint_reduced", 6, cache=CoefficientCache(str(path)))
+        assert again.canonical_json() == report.canonical_json()
+        assert path.read_bytes() == expected.read_bytes()
 
     def test_raising_serial_scan_keeps_what_it_computed(self, tmp_path, monkeypatch):
         """A scan whose check raises keeps the records of the payloads before it,
@@ -400,7 +411,7 @@ class TestScan:
         clear_caches()
         whole = tmp_path / "whole.jsonl"
         scan("midpoint_reduced", 6, cache=CoefficientCache(str(whole)))
-        original = conjectures.run_check
+        original = conjectures.check_payload
         files = {}
         for computed in (False, True):
 
@@ -411,7 +422,7 @@ class TestScan:
                     original(name, payload, cache=cache)
                 raise RuntimeError("planted failure")
 
-            monkeypatch.setattr(conjectures, "run_check", failing)
+            monkeypatch.setattr(conjectures, "check_payload", failing)
             clear_caches()
             files[computed] = tmp_path / f"computed-{computed}.jsonl"
             with pytest.raises(RuntimeError):
@@ -441,7 +452,7 @@ class TestScan:
         for payload in payloads:
             clear_caches()
             try:
-                violations += conjectures.run_check(name, payload).violations
+                violations += conjectures.check_payload(name, payload).violations
             except (NotIntegral, SizeMismatch):
                 continue
             checked.append(payload)
@@ -521,7 +532,7 @@ class TestPinnedChecks:
         lines = []
         for payload in payloads:
             try:
-                lines.append(conjectures.run_check(name, payload).canonical_json())
+                lines.append(conjectures.check_payload(name, payload).canonical_json())
             except KroncaveError as exc:
                 lines.append(f"{type(exc).__name__}: {exc}")
         assert sha256("\n".join(lines).encode()) == digest
@@ -537,17 +548,9 @@ class TestPinnedChecks:
         ],
     )
     def test_bad_input_errors(self, check, payload, error, message):
-        """The same error through run_check and through the exported function."""
-        exported = {
-            "midpoint_reduced": check_midpoint_reduced,
-            "midpoint_kronecker": check_midpoint_kronecker,
-            "schur_lr": check_schur_log_concavity,
-            "chain": lambda *parts: check_chain_conjecture(list(parts)),
-        }[check]
-        for call in (lambda: conjectures.run_check(check, payload), lambda: exported(*payload)):
-            with pytest.raises(error) as info:
-                call()
-            assert type(info.value) is error and str(info.value) == message
+        with pytest.raises(error) as info:
+            check_payload(check, payload)
+        assert type(info.value) is error and str(info.value) == message
 
     @pytest.mark.parametrize(
         "name, max_boxes, line_count, digest",

@@ -110,9 +110,9 @@ FOOTPRINT_SCRIPT = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import kroncave, kroncave.cli
-from kroncave.conjectures import run_check, scan
+from kroncave.conjectures import check_payload, scan
 sequential = scan("midpoint-reduced", 4).canonical_json()
-assert run_check("schur_lr", ((2,), (2,))).passed
+assert check_payload("schur_lr", ((2,), (2,))).passed
 print(sorted(m for m in ("concurrent.futures.process", "multiprocessing", "dataclasses",
                          "inspect") if m in sys.modules))
 print(scan("midpoint-reduced", 4, jobs=2).canonical_json() == sequential)
@@ -194,17 +194,16 @@ def test_no_module_branches_on_a_row_name():
 
 
 # The only functions that read or write a persistent cache: the engine's
-# stable product, and the scan that buffers its workers' writes.
+# stable product, and the scan that puts its pool workers' records.
 CACHE_CALLERS = {
     ("coefficients.py", "reduced_tensor_decompose"),
     ("conjectures.py", "scan"),
-    ("conjectures.py", "_merge"),
 }
 
 
 def cache_calls(tree):
-    """(enclosing function, line) of each get/put/put_many call on a name
-    that holds a cache: one spelled with "cache", or a scan's view."""
+    """(enclosing function, line) of each get/put call on a name that holds
+    a cache: one spelled with "cache", or a scan's view."""
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -212,7 +211,7 @@ def cache_calls(tree):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("get", "put", "put_many")
+            and node.func.attr in ("get", "put")
             and isinstance(node.func.value, ast.Name)
             and ("cache" in node.func.value.id.lower() or node.func.value.id == "view")
         ):

@@ -195,6 +195,8 @@ class TestRecordingCache:
 
 
 class TestPutMany:
+    """Many records put one by one onto a planted file."""
+
     RECORDS = [
         (((1,), (1,)), parsed(PRODUCT_1_1)),  # already in the file: skipped
         (((2,), (1,)), parsed(PRODUCT_2_1)),  # a conflicted pair: never written
@@ -210,14 +212,13 @@ class TestPutMany:
         ))
         return CoefficientCache(str(path))
 
-    def test_same_lines_as_put_under_one_open(self, tmp_path, monkeypatch):
+    def test_put_appends_each_new_record_under_one_open(self, tmp_path, monkeypatch):
+        """Of five records put one by one, the held one, the conflicted one and
+        the repeated one append nothing; the other two append a line each."""
         from kroncave import store
 
-        one_by_one = self._planted(tmp_path / "put.jsonl")
-        for pair, product in self.RECORDS:
-            one_by_one.put(*pair, product)
-        batch = self._planted(tmp_path / "batch.jsonl")
-        len(batch)  # load the file before opens are counted
+        cache = self._planted(tmp_path / "c.jsonl")
+        len(cache)  # load the file before opens are counted
         opens = []
 
         def counted(path, mode="r", *args, **kwargs):
@@ -225,13 +226,18 @@ class TestPutMany:
             return open(path, mode, *args, **kwargs)
 
         monkeypatch.setattr(store, "open", counted, raising=False)
-        batch.put_many(self.RECORDS)
-        assert opens == ["a"]
-        text = (tmp_path / "batch.jsonl").read_text()
-        assert text == (tmp_path / "put.jsonl").read_text()
-        assert len(text.splitlines()) == len(self.PLANTED) + 2
+        for pair, product in self.RECORDS:
+            cache.put(*pair, product)
+        assert opens == ["a", "a"]
+        lines = (tmp_path / "c.jsonl").read_text().splitlines()
+        appended = [json.loads(line) for line in lines[len(self.PLANTED):]]
+        assert appended == [
+            json.loads(redtensor_line({"2": "1"}, "-", "2")),
+            json.loads(redtensor_line({"1": "1"}, "-", "1")),
+        ]
         opens.clear()
-        batch.put_many(self.RECORDS)
+        for pair, product in self.RECORDS:
+            cache.put(*pair, product)
         assert opens == []
 
     def test_view_starts_from_the_loaded_records(self, tmp_path):
