@@ -1,4 +1,5 @@
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -240,3 +241,47 @@ def test_single_triple_functions_take_no_cache():
         "reduced_kronecker": ["lam", "mu", "nu"],
         "check_murnaghan_littlewood": ["budget"],
     }
+
+
+REPO = PACKAGE.parent.parent
+
+
+def referenced_names(tree):
+    """Every name a module reads, reads as an attribute, or imports from elsewhere.
+
+    A def, class or assignment binds its name without reading it, so the
+    module that defines a name does not count as using it.
+    """
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_export_is_used():
+    """Each name the package exports is used by a package module, a demo or README.
+
+    An export that nothing in the project uses is an API kept alive only by
+    its own tests.
+    """
+    tree = dict(package_trees())["__init__.py"]
+    exports = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    used = set()
+    for name, module in package_trees():
+        if name != "__init__.py":
+            used |= referenced_names(module)
+    for demo in sorted((REPO / "demos").glob("*.py")):
+        used |= referenced_names(ast.parse(demo.read_text(), filename=str(demo)))
+    readme = set(re.findall(r"\w+", (REPO / "README.md").read_text()))
+    unused = [name for name in exports if name not in used and name not in readme]
+    assert not unused, unused
