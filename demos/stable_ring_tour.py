@@ -2,12 +2,14 @@
 
 Classes are indexed by partitions of any size; the product of two classes
 expands with reduced Kronecker coefficients and always has finite support.
-Padded sequences increase monotonically to their stable value, which is how
-every product here is computed.
+A product is a {partition: coefficient} dict: a single class p is {p: 1}.
+Below the top degree each coefficient is the stable value of a padded
+Kronecker sequence, which increases monotonically to it; the top degree,
+|nu| = |lam| + |mu|, is a Littlewood-Richardson coefficient.
 """
 
 from kroncave import (
-    VirtualRep,
+    canonical_key,
     format_partition,
     kronecker_sequence,
     reduced_tensor_decompose,
@@ -15,20 +17,24 @@ from kroncave import (
     stable_ring_multiply,
 )
 
-one = VirtualRep.single(())
-std = VirtualRep.single((1,))
+
+def show(product):
+    for nu in sorted(product, key=canonical_key):
+        print(f"  {format_partition(nu):>4}  {product[nu]}")
+
+
+one = {(): 1}
+std = {(1,): 1}
 
 print("the square of the standard class [1]:")
 square = stable_ring_multiply(std, std)
-for nu, c in square.items():
-    print(f"  {format_partition(nu):>4}  {c}")
+show(square)
 
 print("\nits cube, associating either way:")
 left = stable_ring_multiply(square, std)
 right = stable_ring_multiply(std, square)
 assert left == right
-for nu, c in left.items():
-    print(f"  {format_partition(nu):>4}  {c}")
+show(left)
 
 print("\nmultiplying by the unit class changes nothing:", stable_ring_multiply(left, one) == left)
 

@@ -10,15 +10,24 @@ sitting on the one-column class: the sign representation witnesses the
 failure.
 """
 
-from kroncave import check_payload, format_partition, midpoint, tensor_decompose
+from kroncave import (
+    canonical_key,
+    check_payload,
+    format_partition,
+    midpoint,
+    stable_ring_compare,
+    tensor_decompose,
+)
 
 lam, mu = (4, 4), (2, 2, 2, 2)
 mid = midpoint(lam, mu)
 print(f"midpoint of {format_partition(lam)} and {format_partition(mu)}: {format_partition(mid)}")
 
-diff = tensor_decompose(mid, mid) - tensor_decompose(lam, mu)
-print("\nsquared midpoint minus product, all 22 classes of S_8:")
-for nu, coeff in diff.items():
+result = stable_ring_compare(tensor_decompose(mid, mid), tensor_decompose(lam, mu))
+diff = {**result.negative, **result.positive}
+print(f"\nsquared midpoint minus product, its {len(diff)} nonzero terms over S_8:")
+for nu in sorted(diff, key=canonical_key):
+    coeff = diff[nu]
     marker = "   <-- negative" if coeff < 0 else ""
     print(f"  {format_partition(nu):>18}  {coeff:+d}{marker}")
 

@@ -13,7 +13,6 @@ from .characters import (
 from .closed_forms import reach_count, reduced_hook, reduced_two_row
 from .coefficients import (
     CompareResult,
-    VirtualRep,
     clear_caches,
     kronecker,
     kronecker_sequence,
@@ -52,7 +51,6 @@ from .errors import (
 from .partitions import (
     EMPTY,
     Partition,
-    as_partition,
     canonical_key,
     conjugate,
     dvir_inequalities,
@@ -64,7 +62,6 @@ from .partitions import (
     part,
     partitions_of,
     partitions_up_to,
-    sort_split,
     syt_count,
     union_parts,
 )

@@ -32,7 +32,7 @@ from .conjectures import (
     scan,
 )
 from .errors import InvariantViolation, KroncaveError
-from .partitions import pad
+from .partitions import canonical_key, pad
 from .store import CoefficientCache, format_partition, parse_partition_text
 
 
@@ -61,8 +61,11 @@ def _report_exit(report, out_path) -> int:
     return 0 if report.passed else 1
 
 
-def _decomposition_json(items) -> str:
-    return json.dumps({format_partition(p): c for p, c in items}, indent=2)
+def _decomposition_json(product: dict) -> str:
+    """A product {nu: coefficient} as JSON, nu in canonical order."""
+    return json.dumps(
+        {format_partition(p): product[p] for p in sorted(product, key=canonical_key)}, indent=2
+    )
 
 
 # -- handlers -----------------------------------------------------------------
@@ -76,8 +79,7 @@ def _cmd_value(args) -> int:
 
 def _cmd_decompose(args) -> int:
     """tensor and redtensor: args.compute names the function."""
-    rep = args.compute(args.lam, args.mu)
-    _emit(_decomposition_json(rep.items()), args.out)
+    _emit(_decomposition_json(args.compute(args.lam, args.mu)), args.out)
     return 0
 
 

@@ -92,7 +92,7 @@ _PACKED: dict = {}
 _PAIR_WEIGHTS: dict = {}
 # (pair key, nu) -> stable value
 _REDUCED_MEMO: dict = {}
-# pair key -> stable VirtualRep coefficient dict
+# pair key -> stable product {nu: coefficient}; callers get a copy, never this dict
 _STABLE_PRODUCTS: dict = {}
 
 
@@ -189,69 +189,6 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
     return _class_sum(*_pair_weights(lam, mu), nu, n)
 
 
-class VirtualRep:
-    """Finite integer combination of irreducible classes.
-
-    With n set, keys are partitions of n: a virtual character of S_n. With
-    n None, keys are stable classes of any sizes, multiplied by reduced
-    Kronecker coefficients, under which the class of the empty partition is
-    the unit. Negative coefficients are allowed; zero coefficients are never
-    stored.
-    """
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, coeffs: dict[Partition, int] | None = None, n: int | None = None):
-        self.n = n
-        cleaned = {}
-        for p, c in (coeffs or {}).items():
-            if n is not None and sum(p) != n:
-                raise SizeMismatch(f"{p} is not a partition of {n}")
-            if c:
-                cleaned[p] = c
-        self.coeffs = cleaned
-
-    @classmethod
-    def single(cls, p: Partition) -> "VirtualRep":
-        return cls({tuple(p): 1})
-
-    def __getitem__(self, p: Partition) -> int:
-        return self.coeffs.get(tuple(p), 0)
-
-    def items(self):
-        return sorted(self.coeffs.items(), key=lambda kv: canonical_key(kv[0]))
-
-    def _combine(self, other: "VirtualRep", sign: int) -> "VirtualRep":
-        if self.n != other.n:
-            raise SizeMismatch(f"cannot combine reps with n={self.n} and n={other.n}")
-        merged = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            merged[p] = merged.get(p, 0) + sign * c
-        return VirtualRep(merged, self.n)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __mul__(self, other):
-        if self.n is not None or other.n is not None:
-            return NotImplemented  # only stable classes multiply here
-        return stable_ring_multiply(self, other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, VirtualRep)
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        n = "" if self.n is None else f"n={self.n}, "
-        return f"VirtualRep({n}{dict(self.items())!r})"
-
-
 class _PackedTable(NamedTuple):
     rows: tuple  # the _ROWS tuples packed, in the order of partitions_of(n)
     columns: tuple  # |C_rho| * col_rho, one integer per class
@@ -288,9 +225,9 @@ def _packed_table(n: int) -> _PackedTable:
     return table
 
 
-def tensor_decompose(lam: Partition, mu: Partition) -> VirtualRep:
-    """Full decomposition of the S_n tensor product lam (x) mu, as one packed
-    class sum (module docstring)."""
+def tensor_decompose(lam: Partition, mu: Partition) -> dict[Partition, int]:
+    """Full decomposition of the S_n tensor product lam (x) mu as {nu: multiplicity},
+    nonzero entries only, from one packed class sum (module docstring)."""
     n = sum(lam)
     if sum(mu) != n:
         raise SizeMismatch(f"sizes differ: {sum(lam)} vs {sum(mu)}")
@@ -302,8 +239,7 @@ def tensor_decompose(lam: Partition, mu: Partition) -> VirtualRep:
         data = total.to_bytes(width * len(table.rows), "little")
     except OverflowError:
         raise InvariantViolation(f"packed class sum left its slots in S_{n}") from None
-    # the keys are partitions_of(n), so the result skips VirtualRep's size check
-    rep = VirtualRep(n=n)
+    out = {}
     for start, nu in zip(range(0, len(data), width), partitions_of(n)):
         value = int.from_bytes(data[start : start + width], "little") - half
         if not -bound <= value <= bound:
@@ -312,16 +248,15 @@ def tensor_decompose(lam: Partition, mu: Partition) -> VirtualRep:
             )
         value = _multiplicity(value, nu, n)
         if value:
-            rep.coeffs[nu] = value
-    return rep
+            out[nu] = value
+    return out
 
 
 @lru_cache(maxsize=None)
 def _tensor_square(p: Partition) -> dict[Partition, int]:
     """Coefficient dict of p (x) p, expanded once per clear_caches(): many
-    pairs of a fixed-size scan share one midpoint. Callers wrap it in a fresh
-    VirtualRep, so the cached dict is never changed."""
-    return tensor_decompose(p, p).coeffs
+    pairs of a fixed-size scan share one midpoint. Callers only read it."""
+    return tensor_decompose(p, p)
 
 
 def _contains(outer: Partition, inner: Partition) -> bool:
@@ -470,8 +405,9 @@ def reduced_kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
     return value
 
 
-def reduced_tensor_decompose(lam: Partition, mu: Partition, *, cache=None) -> VirtualRep:
-    """Stable product of two single classes, expanded over all partitions.
+def reduced_tensor_decompose(lam: Partition, mu: Partition, *, cache=None) -> dict[Partition, int]:
+    """Stable product of two single classes as {nu: reduced coefficient},
+    nonzero entries only, in a fresh dict.
 
     Support is finite: coefficients vanish unless
     ||lam| - |mu|| <= |nu| <= |lam| + |mu|, so only those sizes are
@@ -500,27 +436,29 @@ def reduced_tensor_decompose(lam: Partition, mu: Partition, *, cache=None) -> Vi
                 value = reduced_kronecker(lam, mu, nu)
                 if value:
                     coeffs[nu] = value
-        coeffs.update(sorted(lr_expand(lam, mu).items()))
+        coeffs.update(lr_expand(lam, mu))
         if cache is not None:
             cache.put(lam, mu, coeffs)
     _STABLE_PRODUCTS[pair] = coeffs
-    return VirtualRep(coeffs)
+    return dict(coeffs)
 
 
-def stable_ring_multiply(a: VirtualRep, b: VirtualRep, *, cache=None) -> VirtualRep:
-    """Bilinear extension of the single-class stable product."""
+def stable_ring_multiply(a: dict, b: dict, *, cache=None) -> dict[Partition, int]:
+    """Bilinear extension of the single-class stable product to {class: coefficient}
+    dicts; a single class p is {p: 1} and the unit is {(): 1}. Classes are
+    multiplied in canonical order, which fixes the order of cache appends."""
     blocks = [
-        (cp * cq, reduced_tensor_decompose(p, q, cache=cache))
-        for p, cp in a.items()
-        for q, cq in b.items()
+        (a[p] * b[q], reduced_tensor_decompose(p, q, cache=cache))
+        for p in sorted(a, key=canonical_key)
+        for q in sorted(b, key=canonical_key)
     ]
     if len(blocks) == 1 and blocks[0][0] == 1:
-        return blocks[0][1]  # two single classes: their product, not a copy
+        return blocks[0][1]  # two single classes: their product, already a fresh dict
     out: dict[Partition, int] = {}
     for factor, block in blocks:
-        for nu, g in block.coeffs.items():
+        for nu, g in block.items():
             out[nu] = out.get(nu, 0) + factor * g
-    return VirtualRep(out)
+    return {nu: c for nu, c in out.items() if c}
 
 
 class CompareResult(NamedTuple):
@@ -534,14 +472,17 @@ class CompareResult(NamedTuple):
     positive: dict  # nu -> (a-b)[nu] > 0, the witnesses against B >= A
 
 
-def stable_ring_compare(a: VirtualRep, b: VirtualRep) -> CompareResult:
-    diff = (a - b).coeffs  # zero terms are never stored
-
-    def in_canonical_order(keys):
-        return {p: diff[p] for p in sorted(keys, key=canonical_key)}
-
-    negative = in_canonical_order(p for p, c in diff.items() if c < 0)
-    positive = in_canonical_order(p for p, c in diff.items() if c > 0)
+def stable_ring_compare(a: dict, b: dict) -> CompareResult:
+    """Compare two {class: coefficient} dicts coefficientwise."""
+    diff = dict(a)
+    for p, c in b.items():
+        diff[p] = diff.get(p, 0) - c
+    negative, positive = {}, {}
+    for p in sorted(diff, key=canonical_key):
+        if diff[p] < 0:
+            negative[p] = diff[p]
+        elif diff[p] > 0:
+            positive[p] = diff[p]
     if not negative and not positive:
         verdict = "equal"
     elif not negative:

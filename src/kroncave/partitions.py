@@ -9,31 +9,13 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import InvariantViolation, NotIntegral, PadTooSmall
 
 Partition = tuple[int, ...]
 
 EMPTY: Partition = ()
-
-
-def as_partition(parts: Iterable[int]) -> Partition:
-    """Canonicalize an iterable into a partition tuple.
-
-    Trailing zeros are stripped; increasing or negative entries are rejected.
-    """
-    p = tuple(int(x) for x in parts)
-    end = len(p)
-    while end and p[end - 1] == 0:
-        end -= 1
-    p = p[:end]
-    for i, x in enumerate(p):
-        if x <= 0:
-            raise ValueError(f"parts must be positive, got {x} at index {i}")
-        if i and p[i - 1] < x:
-            raise ValueError(f"parts must be weakly decreasing, got {p[i-1]} < {x}")
-    return p
 
 
 def part(p: Partition, i: int) -> int:
@@ -94,16 +76,6 @@ def midpoint(lam: Partition, mu: Partition, mode: str = "exact") -> Partition:
 def union_parts(lam: Partition, mu: Partition) -> Partition:
     """All parts of both partitions, rearranged weakly decreasing."""
     return tuple(sorted(lam + mu, reverse=True))
-
-
-def sort_split(lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
-    """Merge the parts, then deal them alternately into two partitions.
-
-    The first output takes positions 1, 3, 5, ... of the merged sequence and
-    the second takes positions 2, 4, 6, ...
-    """
-    u = union_parts(lam, mu)
-    return u[0::2], u[1::2]
 
 
 def interleave_split(lam: Partition, n: int) -> list[Partition]:

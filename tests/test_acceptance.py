@@ -15,7 +15,6 @@ import pytest
 from kroncave.characters import character, class_sizes
 from kroncave.closed_forms import reach_count, reduced_hook, reduced_two_row
 from kroncave.coefficients import (
-    VirtualRep,
     clear_caches,
     kronecker,
     kronecker_sequence,
@@ -35,12 +34,13 @@ from kroncave.conjectures import (
 from kroncave.errors import NotIntegral
 from kroncave.partitions import (
     conjugate,
+    interleave_split,
     midpoint,
     pad,
     part,
     partitions_of,
     partitions_up_to,
-    sort_split,
+    union_parts,
 )
 from kroncave.store import CoefficientCache, format_partition
 
@@ -69,11 +69,11 @@ def one_row(j):
 
 def test_criterion_1_virtual_square_difference():
     with criterion(1, "virtual square difference in S_8", 5):
-        diff = tensor_decompose((3, 3, 1, 1), (3, 3, 1, 1)) - tensor_decompose(
-            (4, 4), (2, 2, 2, 2)
-        )
-        assert diff.coeffs == EXPECTED_SQUARE_DIFFERENCE_S8
-        assert diff[(2, 1, 1, 1, 1, 1, 1)] == 0
+        square = tensor_decompose((3, 3, 1, 1), (3, 3, 1, 1))
+        product = tensor_decompose((4, 4), (2, 2, 2, 2))
+        diff = {nu: square.get(nu, 0) - product.get(nu, 0) for nu in square.keys() | product.keys()}
+        assert {nu: c for nu, c in diff.items() if c} == EXPECTED_SQUARE_DIFFERENCE_S8
+        assert diff.get((2, 1, 1, 1, 1, 1, 1), 0) == 0
         assert diff[(6, 2)] == 3
         assert diff[(1, 1, 1, 1, 1, 1, 1, 1)] == -1
         assert diff[(4, 2, 1, 1)] == 6
@@ -314,7 +314,7 @@ def test_criterion_10_property_suites():
                 for mu in shapes:
                     rep = tensor_decompose(lam, mu)
                     for nu in shapes:
-                        table[(lam, mu, nu)] = rep[nu]
+                        table[(lam, mu, nu)] = rep.get(nu, 0)
             for key, value in table.items():
                 for perm in itertools.permutations(key):
                     assert table[perm] == value
@@ -338,10 +338,10 @@ def test_criterion_10_property_suites():
         # stable ring associativity and commutativity, sizes <= 3
         singles = [p for s in range(4) for p in partitions_of(s)]
         for a, b in itertools.combinations_with_replacement(singles, 2):
-            A, B = VirtualRep.single(a), VirtualRep.single(b)
+            A, B = {a: 1}, {b: 1}
             assert stable_ring_multiply(A, B) == stable_ring_multiply(B, A)
         for a, b, c in itertools.combinations_with_replacement(singles, 3):
-            A, B, C = (VirtualRep.single(p) for p in (a, b, c))
+            A, B, C = {a: 1}, {b: 1}, {c: 1}
             left = stable_ring_multiply(stable_ring_multiply(A, B), C)
             right = stable_ring_multiply(A, stable_ring_multiply(B, C))
             assert left == right, (a, b, c)
@@ -372,7 +372,7 @@ def test_criterion_10_property_suites():
         shapes8 = list(partitions_up_to(8))
         for lam in shapes8:
             for mu in shapes8:
-                s1, s2 = sort_split(conjugate(lam), conjugate(mu))
+                s1, s2 = interleave_split(union_parts(conjugate(lam), conjugate(mu)), 2)
                 assert conjugate(midpoint(lam, mu, "ceil")) == s1
                 assert conjugate(midpoint(lam, mu, "floor")) == s2
 

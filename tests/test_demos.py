@@ -20,7 +20,7 @@ STDOUT_SHA256 = {
     "midpoint_scans.py": "61ac8f53e1ba916221daf47b7d1b9da4b7c609ecec3e33d4dd8b34d24c5b6de5",
     "parity_and_saturation.py": "6e10936ddfe0ab2bf407dbf7b7da5aca6dd9d889236676704bc2b3155a4ab150",
     "stable_ring_tour.py": "74765f38fa0055622ce050de7af3780af0d5a7548307c1cdfeb457b3beecaeab",
-    "virtual_square_difference.py": "d03a3f5a5aeccb3374f3fdda00a1463a6e14c4dda96736e6d4ced627646e29fa",
+    "virtual_square_difference.py": "53680808f60f30c0e90a4f1960936e7f227e43e4b7c62317a93f44aa899b2246",
 }
 
 

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from kroncave.errors import NotIntegral, PadTooSmall
 from kroncave.partitions import (
-    as_partition,
     canonical_key,
     conjugate,
     hook_lengths,
@@ -16,7 +15,6 @@ from kroncave.partitions import (
     part,
     partitions_of,
     partitions_up_to,
-    sort_split,
     syt_count,
     union_parts,
 )
@@ -38,20 +36,19 @@ def partitions(draw, max_size=10):
 
 
 class TestAsPartition:
-    def test_strips_trailing_zeros(self):
-        assert as_partition([3, 2, 0, 0]) == (3, 2)
+    """conjugate is the partition check: positive, weakly decreasing parts."""
 
     def test_rejects_increasing(self):
         with pytest.raises(ValueError):
-            as_partition([1, 2])
+            conjugate((1, 2))
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            as_partition([2, -1])
+            conjugate((2, -1))
 
     @given(partitions())
     def test_idempotent(self, p):
-        assert as_partition(p) == p
+        assert conjugate(conjugate(p)) == p
 
 
 class TestPad:
@@ -71,7 +68,7 @@ class TestPad:
         d = sum(p) + (p[0] if p else 0) + extra
         out = pad(p, d)
         assert sum(out) == d
-        assert as_partition(out) == out
+        conjugate(out)  # raises ValueError unless out is a partition
 
 
 class TestConjugate:
@@ -124,15 +121,20 @@ class TestMidpoint:
                     assert pad(mid, d + extra) == midpoint(pad(lam, d + extra), pad(mu, d + extra))
 
 
+def sorted_split(lam, mu):
+    """The sort scan's larger side of a pair: the merged parts dealt into two."""
+    return tuple(interleave_split(union_parts(lam, mu), 2))
+
+
 class TestSortSplit:
     def test_examples(self):
-        assert sort_split((3, 1), (2, 2)) == ((3, 2), (2, 1))
-        assert sort_split((), (2, 1)) == ((2,), (1,))
+        assert sorted_split((3, 1), (2, 2)) == ((3, 2), (2, 1))
+        assert sorted_split((), (2, 1)) == ((2,), (1,))
 
     def test_sizes(self):
         for lam in partitions_up_to(6):
             for mu in partitions_up_to(6):
-                s1, s2 = sort_split(lam, mu)
+                s1, s2 = sorted_split(lam, mu)
                 assert sum(s1) + sum(s2) == sum(lam) + sum(mu)
                 # first output dominates componentwise
                 for i in range(1, len(s1) + 1):
@@ -141,7 +143,7 @@ class TestSortSplit:
     def test_conjugation_identity(self):
         for lam in partitions_up_to(8):
             for mu in partitions_up_to(8):
-                s1, s2 = sort_split(conjugate(lam), conjugate(mu))
+                s1, s2 = sorted_split(conjugate(lam), conjugate(mu))
                 assert conjugate(midpoint(lam, mu, "ceil")) == s1
                 assert conjugate(midpoint(lam, mu, "floor")) == s2
 
@@ -163,14 +165,19 @@ class TestInterleaveSplit:
         assert union_parts((), tuple(x for piece in pieces for x in piece)) == p
 
     def test_two_way_matches_sort_split(self):
+        """Two ways deal positions 1, 3, 5, ... and 2, 4, 6, ... apart."""
         for p in partitions_up_to(8):
-            assert tuple(interleave_split(p, 2)) == sort_split(p, ())
+            assert tuple(interleave_split(p, 2)) == (p[0::2], p[1::2])
 
     def test_two_way_split_of_a_merged_pair_is_sort_split(self):
-        """The sort scan is the interleave rule on pairs because of this identity."""
+        """The sorted split of a pair deals the merged sequence alternately, and
+        merging the pair again gives that sequence back."""
         for lam in partitions_up_to(8):
             for mu in partitions_up_to(8 - sum(lam)):
-                assert tuple(interleave_split(union_parts(lam, mu), 2)) == sort_split(lam, mu)
+                merged = union_parts(lam, mu)
+                s1, s2 = sorted_split(lam, mu)
+                assert (s1, s2) == (merged[0::2], merged[1::2])
+                assert union_parts(s1, s2) == merged
 
 
 class TestSytCount:

@@ -80,7 +80,7 @@ class TestCoefficientCache:
 
     def test_reload_from_disk(self, tmp_path):
         path = str(tmp_path / "c.jsonl")
-        product = reduced_tensor_decompose((3, 1), (2,)).coeffs
+        product = reduced_tensor_decompose((3, 1), (2,))
         CoefficientCache(path).put((3, 1), (2,), product)
         assert CoefficientCache(path).get((3, 1), (2,)) == product
 
