@@ -243,7 +243,7 @@ def test_single_triple_functions_take_no_cache():
     }
 
 
-REPO = PACKAGE.parent.parent
+REPO = Path(__file__).resolve().parent.parent
 
 
 def referenced_names(tree):
