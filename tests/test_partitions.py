@@ -203,6 +203,28 @@ class TestSytCount:
         assert sorted(hook_lengths((2, 2))) == [1, 2, 2, 3]
 
 
+class TestPaddedSytCount:
+    def test_matches_hook_formula_on_the_padded_shape(self):
+        """The closed form equals syt_count(pad(p, n)), and raises PadTooSmall,
+        with pad's message, on exactly the (p, n) that pad rejects."""
+        from kroncave.partitions import padded_syt_count
+
+        checked = raised = 0
+        for p in partitions_up_to(12):
+            for n in range(41):
+                try:
+                    expected = syt_count(pad(p, n))
+                except PadTooSmall as exc:
+                    with pytest.raises(PadTooSmall) as info:
+                        padded_syt_count(p, n)
+                    assert str(info.value) == str(exc), (p, n)
+                    raised += 1
+                else:
+                    assert padded_syt_count(p, n) == expected, (p, n)
+                checked += 1
+        assert 0 < raised < checked == 272 * 41
+
+
 class TestMurnaghanInequalities:
     def test_examples(self):
         assert murnaghan_inequalities((2,), (1, 1), (2,))
