@@ -56,10 +56,24 @@ mean a wrong bound or an arithmetic bug, never data. A whole stable product
 takes its top degree, |nu| = |lam| + |mu|, from one lr_expand instead: there
 the reduced coefficient is c^nu_{lam mu} (Murnaghan 1938, Littlewood 1958).
 The padded engine and its d+1 check cover every lower degree, and every
-reduced_kronecker call. The protocol has no settings, so a stored product
-never depends on how it was computed; the persistent cache (kroncave.store)
-stores whole products only, and only reduced_tensor_decompose reads or
-writes it.
+reduced_kronecker call.
+
+Each stable product the engine computes is then checked whole. Evaluating
+[lam]*[mu] at the identity of S_n gives the dimension identity
+
+  sum_nu g^nu_{lam mu} f^{nu[n]} = f^{lam[n]} f^{mu[n]},  n = |lam|+|mu|+lam1+mu1,
+
+with f the standard tableau count of a padded shape (padded_syt_count), so
+no character is evaluated. That n is Brion's uniform form of the
+Briand-Orellana-Rosas bound (Manuscripta Math. 1993), past which the S_n
+product is the stable one. A computed product that fails it raises
+InvariantViolation before it is memoized or cached. Memo and cache hits are
+not checked again: kroncave.store applies the same check to every record
+when it loads a file.
+
+The protocol has no settings, so a stored product never depends on how it
+was computed; the persistent cache (kroncave.store) stores whole products
+only, and only reduced_tensor_decompose reads or writes it.
 """
 
 from __future__ import annotations
@@ -78,6 +92,7 @@ from .partitions import (
     dvir_inequalities,
     murnaghan_inequalities,
     pad,
+    padded_syt_count,
     part,
     partitions_of,
 )
@@ -109,6 +124,7 @@ def clear_caches() -> None:
     _mask.cache_clear()
     class_sizes.cache_clear()
     conjugate.cache_clear()
+    padded_syt_count.cache_clear()
     partitions_of.cache_clear()
 
 
@@ -405,6 +421,16 @@ def reduced_kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
     return value
 
 
+def check_dimension_identity(lam: Partition, mu: Partition, product: dict) -> None:
+    """Raise ValueError unless product, as [lam]*[mu], passes the dimension
+    identity of the module docstring. A nu too large to pad to n raises
+    PadTooSmall, which is a ValueError."""
+    n = sum(lam) + sum(mu) + part(lam, 1) + part(mu, 1)
+    total = sum(c * padded_syt_count(nu, n) for nu, c in product.items())
+    if total != padded_syt_count(lam, n) * padded_syt_count(mu, n):
+        raise ValueError(f"product fails the dimension identity at n={n}")
+
+
 def reduced_tensor_decompose(lam: Partition, mu: Partition, *, cache=None) -> dict[Partition, int]:
     """Stable product of two single classes as {nu: reduced coefficient},
     nonzero entries only, in a fresh dict.
@@ -418,9 +444,11 @@ def reduced_tensor_decompose(lam: Partition, mu: Partition, *, cache=None) -> di
     the per-triple memo: reduced_kronecker keeps padded values only, for
     check_murnaghan_littlewood to compare.
 
-    A persistent cache (kroncave.store) may be supplied. A product missing
-    from the in-process memo is read from it, and one computed while it is
-    attached is written to it; a memo hit reads and writes nothing.
+    A computed product must pass check_dimension_identity, or
+    InvariantViolation is raised. A persistent cache (kroncave.store) may be
+    supplied. A product missing from the in-process memo is read from it,
+    and one computed while it is attached is written to it; a memo hit
+    reads and writes nothing.
     """
     lam, mu = tuple(lam), tuple(mu)
     _check_partitions(lam, mu)
@@ -437,6 +465,10 @@ def reduced_tensor_decompose(lam: Partition, mu: Partition, *, cache=None) -> di
                 if value:
                     coeffs[nu] = value
         coeffs.update(lr_expand(lam, mu))
+        try:
+            check_dimension_identity(lam, mu, coeffs)
+        except ValueError as exc:
+            raise InvariantViolation(f"stable product {lam} * {mu}: {exc}") from exc
         if cache is not None:
             cache.put(lam, mu, coeffs)
     _STABLE_PRODUCTS[pair] = coeffs

@@ -34,10 +34,9 @@ from .partitions import (
     canonical_key,
     interleave_split,
     midpoint,
-    pad,
+    padded_syt_count,
     partitions_of,
     partitions_up_to,
-    syt_count,
     union_parts,
 )
 from .store import format_partition
@@ -230,8 +229,8 @@ class DimLogConcavity(NamedTuple):
 def check_dim_log_concavity(lam: Partition, mu: Partition, d: int) -> DimLogConcavity:
     """Squared dimension of the padded midpoint vs the padded pair's product."""
     mid = midpoint(lam, mu, "exact")
-    lhs = syt_count(pad(mid, d)) ** 2
-    rhs = syt_count(pad(lam, d)) * syt_count(pad(mu, d))
+    lhs = padded_syt_count(mid, d) ** 2
+    rhs = padded_syt_count(lam, d) * padded_syt_count(mu, d)
     return DimLogConcavity(lhs >= rhs, lhs, rhs)
 
 

@@ -105,6 +105,29 @@ def syt_count(p: Partition) -> int:
     return value
 
 
+@lru_cache(maxsize=None)
+def padded_syt_count(p: Partition, n: int) -> int:
+    """Standard tableau count of the padded shape p[n] = pad(p, n), in closed
+    form: the padded shape is never built.
+
+    Rows 2 and below of p[n] have p's own hooks. With m = n - |p|, the first
+    row's hook at column j is m - j + 1 + p'_j for j <= p1 and m - j + 1
+    after that, so the first row contributes (m - p1)! times the product of
+    the first p1 of them. Raises PadTooSmall, as pad does, when m < p1; the
+    division is checked exact as in syt_count.
+    """
+    m = n - sum(p)
+    first = part(p, 1)
+    if m < first:
+        raise PadTooSmall(f"need d >= {sum(p) + first} to pad {p or '()'}, got {n}")
+    row = math.prod(m - j + c for j, c in enumerate(conjugate(p)))
+    hooks = math.prod(hook_lengths(p)) * math.factorial(m - first) * row
+    value, rest = divmod(math.factorial(n), hooks)
+    if rest:
+        raise InvariantViolation(f"hook product does not divide {n}!")
+    return value
+
+
 def murnaghan_inequalities(lam: Partition, mu: Partition, nu: Partition) -> bool:
     """All three triangle inequalities on the sizes."""
     a, b, c = sum(lam), sum(mu), sum(nu)

@@ -10,17 +10,12 @@ concatenated; coefficients are decimal strings so any JSON reader reparses
 them exactly. A line of any other kind (older files hold per-triple
 "redkron", "kron" and "lr" lines) is a corrupt line: skipped with a warning.
 
-Every record is checked when the file is loaded. Evaluating [lam]*[mu] at
-the identity of S_n gives the dimension identity
-
-  sum_nu g^nu_{lam mu} f^{nu[n]} = f^{lam[n]} f^{mu[n]},  n = |lam|+|mu|+lam1+mu1,
-
-with f the standard tableau count: n is Brion's uniform form of the
-Briand-Orellana-Rosas stability bound (Manuscripta Math. 1993; J. Algebra
-2011), past which the S_n product is the stable one. A record that fails it,
-or names a nu too large to pad to n, is a corrupt line. Every f is positive,
-so one wrong coefficient always fails; wrong coefficients whose f-weighted
-errors cancel still pass.
+Every record is checked when the file is loaded, against the dimension
+identity that the engine also checks on each product it computes
+(coefficients.check_dimension_identity). A record that fails it, or names a
+nu too large to pad to its n, is a corrupt line. Every f in the identity is
+positive, so one wrong coefficient always fails; wrong coefficients whose
+f-weighted errors cancel still pass.
 
 A cache is only ever the file its caller names: the CLI attaches one for
 `scan --cache PATH` alone, and no default file or environment variable
@@ -32,8 +27,9 @@ from __future__ import annotations
 import json
 import logging
 
+from .coefficients import check_dimension_identity
 from .errors import PartitionParseError, StoreIOError
-from .partitions import Partition, canonical_key, pad, part, syt_count
+from .partitions import Partition, canonical_key
 
 try:
     import fcntl
@@ -89,22 +85,6 @@ def _parse_field(text, parsed: dict) -> Partition:
     return p
 
 
-def _check_dimensions(lam: Partition, mu: Partition, product: dict, dims: dict) -> None:
-    """Raise ValueError unless product passes the module docstring's dimension
-    identity; dims memoizes f per padded shape for one load."""
-    n = sum(lam) + sum(mu) + part(lam, 1) + part(mu, 1)
-
-    def f(p: Partition) -> int:
-        shape = pad(p, n)  # PadTooSmall is a ValueError: a failed check
-        value = dims.get(shape)
-        if value is None:
-            value = dims[shape] = syt_count(shape)
-        return value
-
-    if sum(c * f(nu) for nu, c in product.items()) != f(lam) * f(mu):
-        raise ValueError(f"product fails the dimension identity at n={n}")
-
-
 def _record_line(key, product: dict) -> str:
     lam, mu = key
     obj = {
@@ -141,14 +121,13 @@ class CoefficientCache:
             return self._index
         index: dict = {}
         parsed: dict = {}  # partition text -> partition, for this load only
-        dims: dict = {}  # padded shape -> standard tableau count, for this load only
         try:
             with open(self.path, "r", encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, 1):
                     line = line.strip()
                     if not line:
                         continue
-                    record = self._parse_line(line, lineno, parsed, dims)
+                    record = self._parse_line(line, lineno, parsed)
                     if record is None:
                         continue
                     key, product = record
@@ -169,7 +148,7 @@ class CoefficientCache:
         self._index = index
         return index
 
-    def _parse_line(self, line: str, lineno: int, parsed: dict, dims: dict):
+    def _parse_line(self, line: str, lineno: int, parsed: dict):
         try:
             obj = json.loads(line)
             kind = obj["kind"]
@@ -188,7 +167,7 @@ class CoefficientCache:
                 product[_parse_field(text, parsed)] = int(value)
             if obj["engineVersion"] != ENGINE_VERSION:
                 return None  # stale engine entries are silently ignored
-            _check_dimensions(lam, mu, product, dims)
+            check_dimension_identity(lam, mu, product)
         except (KeyError, ValueError, TypeError) as exc:
             log.warning("%s:%d: skipping corrupt cache line (%s)", self.path, lineno, exc)
             return None

@@ -237,7 +237,7 @@ class TestHitFirstLookup:
         assert proc.stdout.startswith("SizeMismatch: |lam|=3")
 
     def test_clear_caches_empties_mask_cache(self):
-        from kroncave import characters, coefficients
+        from kroncave import characters, coefficients, partitions
 
         character((3, 1), (2, 2))
         coefficients.tensor_decompose((2, 1), (2, 1))
@@ -245,7 +245,7 @@ class TestHitFirstLookup:
         coefficients.reduced_tensor_decompose((1,), (1,))
         memos = {
             f"{module.__name__}.{name}": fn
-            for module in (characters, coefficients)
+            for module in (characters, coefficients, partitions)
             for name, fn in vars(module).items()
             if hasattr(fn, "cache_clear")
         }
@@ -254,9 +254,10 @@ class TestHitFirstLookup:
             for name, value in vars(coefficients).items()
             if type(value) is dict and not name.startswith("__")
         }
-        assert "kroncave.characters._mask" in memos
+        assert {"kroncave.characters._mask", "kroncave.partitions.padded_syt_count"} <= set(memos)
         assert {"_ROWS", "_PAIR_WEIGHTS", "_REDUCED_MEMO", "_STABLE_PRODUCTS"} <= set(stores)
         assert _mask.cache_info().currsize > 0
+        assert partitions.padded_syt_count.cache_info().currsize > 0
         assert all(stores.values()), {name: len(value) for name, value in stores.items()}
         clear_caches()
         assert {name: fn.cache_info().currsize for name, fn in memos.items()} == dict.fromkeys(

@@ -624,6 +624,25 @@ class TestErrorHandling:
         code, _, err = run(capsys, "kron", "--lambda", "1", "--mu", "1", "--nu", "1")
         assert code == 3 and "non-integral character sum" in err
 
+    def test_redtensor_product_failing_the_dimension_identity_exits_three(
+        self, capsys, monkeypatch
+    ):
+        clear_caches()
+        original = coefficients.lr_expand
+
+        def wrong(lam, mu):
+            product = original(lam, mu)
+            product[(2,)] += 1
+            return product
+
+        monkeypatch.setattr(coefficients, "lr_expand", wrong)
+        code, out, err = run(capsys, "redtensor", "--lambda", "1", "--mu", "1")
+        assert (code, out) == (3, "")
+        assert err == (
+            "internal error: stable product (1,) * (1,): "
+            "product fails the dimension identity at n=4\n"
+        )
+
 
 class TestUnwritableOut:
     """A report that cannot be written is a usage error (2), never "violations" (1)."""

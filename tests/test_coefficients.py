@@ -37,6 +37,7 @@ from kroncave.partitions import (
     partitions_up_to,
     syt_count,
 )
+from kroncave.store import CoefficientCache
 
 from oracles import (
     beta_list_character,
@@ -611,6 +612,48 @@ class TestReducedTensorDecompose:
             assert holds(lam, mu, rep, n) and holds(lam, mu, rep, n + 1), (lam, mu)
             if lam and mu:
                 assert not holds(lam, mu, rep, n - 1), (lam, mu)
+
+    @pytest.mark.parametrize("layer", ["lr_expand", "reduced_kronecker"])
+    def test_a_wrong_value_fails_the_engine_check(self, monkeypatch, layer):
+        """One value off by one, in the LR top degree or below it, fails the
+        dimension identity that every computed product is checked against."""
+        clear_caches()
+        original = getattr(coefficients, layer)
+        if layer == "lr_expand":
+
+            def wrong(lam, mu):
+                product = original(lam, mu)
+                product[(3, 1)] += 1
+                return product
+
+        else:
+
+            def wrong(lam, mu, nu):
+                return original(lam, mu, nu) + (nu == (2,))
+
+        monkeypatch.setattr(coefficients, layer, wrong)
+        with pytest.raises(
+            InvariantViolation,
+            match=r"^stable product \(2, 1\) \* \(1,\): product fails the dimension identity at n=7$",
+        ):
+            reduced_tensor_decompose((2, 1), (1,))
+        assert coefficients._STABLE_PRODUCTS == {}
+
+    def test_memo_and_cache_hits_are_not_rechecked(self, monkeypatch, tmp_path):
+        clear_caches()
+        checked = []
+        original = coefficients.check_dimension_identity
+        monkeypatch.setattr(
+            coefficients,
+            "check_dimension_identity",
+            lambda *args: checked.append(args[:2]) or original(*args),
+        )
+        cache = CoefficientCache(str(tmp_path / "cache.jsonl"))
+        reduced_tensor_decompose((2, 1), (1,), cache=cache)
+        reduced_tensor_decompose((1,), (2, 1), cache=cache)
+        clear_caches()
+        reduced_tensor_decompose((2, 1), (1,), cache=CoefficientCache(cache.path))
+        assert checked == [((2, 1), (1,))]
 
     def test_scan_asks_reduced_kronecker_below_the_top_degree_only(self, monkeypatch):
         clear_caches()

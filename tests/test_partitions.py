@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from kroncave.errors import NotIntegral, PadTooSmall
+from kroncave.errors import InvariantViolation, NotIntegral, PadTooSmall
 from kroncave.partitions import (
     canonical_key,
     conjugate,
@@ -12,6 +12,7 @@ from kroncave.partitions import (
     midpoint,
     murnaghan_inequalities,
     pad,
+    padded_syt_count,
     part,
     partitions_of,
     partitions_up_to,
@@ -207,8 +208,6 @@ class TestPaddedSytCount:
     def test_matches_hook_formula_on_the_padded_shape(self):
         """The closed form equals syt_count(pad(p, n)), and raises PadTooSmall,
         with pad's message, on exactly the (p, n) that pad rejects."""
-        from kroncave.partitions import padded_syt_count
-
         checked = raised = 0
         for p in partitions_up_to(12):
             for n in range(41):
@@ -223,6 +222,12 @@ class TestPaddedSytCount:
                     assert padded_syt_count(p, n) == expected, (p, n)
                 checked += 1
         assert 0 < raised < checked == 272 * 41
+
+    def test_a_hook_product_that_does_not_divide_raises(self, monkeypatch):
+        monkeypatch.setattr("kroncave.partitions.hook_lengths", lambda p: [7])
+        padded_syt_count.cache_clear()
+        with pytest.raises(InvariantViolation, match=r"^hook product does not divide 5!$"):
+            padded_syt_count((2, 1), 5)
 
 
 class TestMurnaghanInequalities:

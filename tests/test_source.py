@@ -285,3 +285,11 @@ def test_every_export_is_used():
     readme = set(re.findall(r"\w+", (REPO / "README.md").read_text()))
     unused = [name for name in exports if name not in used and name not in readme]
     assert not unused, unused
+
+
+
+def test_padded_tableau_counts_have_one_path():
+    """Every padded count comes from partitions.padded_syt_count, in closed
+    form, never from the hook formula run on a built padded shape."""
+    found = [path.name for path in sorted(PACKAGE.glob("*.py")) if "syt_count(pad(" in path.read_text()]
+    assert not found, found
