@@ -643,11 +643,12 @@ class TestReducedTensorDecompose:
         clear_caches()
         checked = []
         original = coefficients.check_dimension_identity
-        monkeypatch.setattr(
-            coefficients,
-            "check_dimension_identity",
-            lambda *args: checked.append(args[:2]) or original(*args),
-        )
+
+        def recording(lam, mu, product):
+            checked.append((lam, mu))
+            original(lam, mu, product)
+
+        monkeypatch.setattr(coefficients, "check_dimension_identity", recording)
         cache = CoefficientCache(str(tmp_path / "cache.jsonl"))
         reduced_tensor_decompose((2, 1), (1,), cache=cache)
         reduced_tensor_decompose((1,), (2, 1), cache=cache)

@@ -287,7 +287,6 @@ def test_every_export_is_used():
     assert not unused, unused
 
 
-
 def test_padded_tableau_counts_have_one_path():
     """Every padded count comes from partitions.padded_syt_count, in closed
     form, never from the hook formula run on a built padded shape."""
