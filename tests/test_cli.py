@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib
 import json
 import logging
 import os
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 import kroncave
-from kroncave import coefficients
+from kroncave import cli, coefficients
 from kroncave.cli import build_parser, run_command
 from kroncave.coefficients import clear_caches
 from kroncave.conjectures import SCANS
@@ -662,3 +663,111 @@ class TestUnwritableOut:
         assert code == 2
         assert f"error: cannot write {out_path}: " in err
         assert "Traceback" not in err and not out_path.exists()
+
+
+# Each command whose handler calls an engine function: the kroncave.cli global
+# it calls, its argv, and what it prints when that function returns SENTINEL.
+SENTINEL = 987654321
+ENGINE_COMMANDS = [
+    ("kronecker", ("kron", "--lambda", "1", "--mu", "1", "--nu", "1"), SENTINEL),
+    ("lr_coefficient", ("lr", "--lambda", "1", "--mu", "1", "--nu", "2"), SENTINEL),
+    ("reduced_kronecker", ("redkron", "--lambda", "1", "--mu", "1", "--nu", "1"), SENTINEL),
+    ("tensor_decompose", ("tensor", "--lambda", "1,1", "--mu", "1,1"), {(4, 3): SENTINEL}),
+    ("reduced_tensor_decompose", ("redtensor", "--lambda", "1", "--mu", "1"),
+     {(4, 3): SENTINEL}),
+    ("character", ("char", "--lambda", "1,1", "--rho", "2"), SENTINEL),
+    ("char_dimension", ("dim", "--lambda", "3,2,1"), SENTINEL),
+    ("reach_count", ("closed-form", "gamma", "--a", "2", "--b", "2", "--c", "1", "--d", "2",
+                     "--x", "4", "--y", "2"), SENTINEL),
+    ("reduced_two_row", ("closed-form", "two-row", "--j", "1", "--k", "1", "--nu", "1"),
+     SENTINEL),
+    ("reduced_hook", ("closed-form", "hook", "--j", "8", "--k", "8", "--nu", "3,3"), SENTINEL),
+]
+
+
+class TestParserReuse:
+    """run_command builds its parser on the first call and reuses it."""
+
+    def test_two_calls_build_one_parser(self, capsys, monkeypatch):
+        builds = []
+        original = cli.build_parser
+
+        def counting():
+            builds.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", counting)
+        assert run(capsys, "dim", "--lambda", "3,2,1") == (0, "16\n", "")
+        assert run(capsys, "kron", "--lambda", "2,2", "--mu", "2,2", "--nu", "2,2")[:2] == (0, "1\n")
+        assert len(builds) == 1
+
+    def test_import_builds_no_parser(self, monkeypatch):
+        builds = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        # Import a fresh copy; monkeypatch puts the original module back.
+        monkeypatch.delitem(sys.modules, "kroncave.cli")
+        monkeypatch.setattr(kroncave, "cli", cli)
+        fresh = importlib.import_module("kroncave.cli")
+        assert fresh is not cli
+        assert fresh._PARSER is None and builds == []
+
+    def test_out_does_not_carry_over(self, capsys, tmp_path):
+        argv = ("check", "sort", "--lambda", "1,1", "--mu", "2")
+        out_path = tmp_path / "report.json"
+        code, out, _ = run(capsys, *argv, "--out", str(out_path))
+        assert (code, out) == (1, "")
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert without_timing(out) == without_timing(out_path.read_text())
+
+    def test_part_lists_do_not_pile_up(self, capsys):
+        code, out, _ = run(capsys, "check", "chain", "--part", "1", "--part", "1,1", "--part", "2")
+        assert (code, json.loads(out)["subject"]) == (1, "chain n=3 parts=1;1,1;2")
+        code, out, _ = run(capsys, "check", "chain", "--part", "2", "--part", "1")
+        assert json.loads(out)["subject"] == "chain n=2 parts=2;1"
+
+    def test_scan_defaults_come_back(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        original = cli.scan
+
+        def recording(conjecture, max_boxes, **kwargs):
+            calls.append((conjecture, kwargs["chain_n"], kwargs["cache"] is None))
+            return original(conjecture, max_boxes, **kwargs)
+
+        monkeypatch.setattr(cli, "scan", recording)
+        cache = str(tmp_path / "cache.jsonl")
+        for argv in (
+            ("chain", "--max-boxes", "2", "--n", "2"),
+            ("chain", "--max-boxes", "2"),
+            ("midpoint-reduced", "--max-boxes", "2", "--cache", cache),
+            ("midpoint-reduced", "--max-boxes", "2"),
+        ):
+            assert run(capsys, "scan", *argv)[0] == 0
+        assert calls == [
+            ("chain", 2, True),
+            ("chain", 3, True),
+            ("midpoint-reduced", 3, False),
+            ("midpoint-reduced", 3, True),
+        ]
+
+    @pytest.mark.parametrize(
+        "name, argv, result", ENGINE_COMMANDS, ids=[c[0] for c in ENGINE_COMMANDS]
+    )
+    def test_handlers_call_the_current_engine_function(
+        self, capsys, monkeypatch, name, argv, result
+    ):
+        """A function patched after the parser is built is the one a command calls."""
+        code, real, _ = run(capsys, *argv)
+        assert code == 0
+        monkeypatch.setattr(cli, name, lambda *args: result)
+        code, out, _ = run(capsys, *argv)
+        expected = str(SENTINEL) if result == SENTINEL else json.dumps({"4,3": SENTINEL}, indent=2)
+        assert (code, out) == (0, expected + "\n")
+        assert out != real
