@@ -4,6 +4,12 @@ Exit codes: 0 for success (including "check passed"), 1 when a check or scan
 found violations, 2 for usage or parse errors (an --out path that cannot be
 written among them), 3 when an internal invariant check failed (an engine
 bug). All numeric output is exact decimal.
+
+The parser is built once per process, by the first `run_command` call, and
+reused by every later call; importing this module builds nothing. It holds
+no values: each handler looks its engine function up as a module global when
+it runs, so a function rebound after the parser was built (a test's patch, a
+tracing wrapper) is the one that is called.
 """
 
 from __future__ import annotations
@@ -78,8 +84,8 @@ def _cmd_value(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    """tensor and redtensor: args.compute names the function."""
-    _emit(_decomposition_json(args.compute(args.lam, args.mu)), args.out)
+    """tensor and redtensor: args.compute(args) computes the product."""
+    _emit(_decomposition_json(args.compute(args)), args.out)
     return 0
 
 
@@ -144,18 +150,24 @@ def build_parser() -> argparse.ArgumentParser:
         _partition_flag(p, "--mu", "mu")
         _partition_flag(p, "--nu", "nu")
 
-    for name, coefficient, help_text in (
-        ("kron", kronecker, "Kronecker coefficient of three same-size partitions"),
-        ("lr", lr_coefficient, "Littlewood-Richardson coefficient"),
-        ("redkron", reduced_kronecker, "reduced (stable) Kronecker coefficient"),
+    # Each compute lambda names its engine function, so the call reads the
+    # module global at run time, never a function captured at build time.
+    for name, compute, help_text in (
+        ("kron", lambda a: kronecker(a.lam, a.mu, a.nu),
+         "Kronecker coefficient of three same-size partitions"),
+        ("lr", lambda a: lr_coefficient(a.lam, a.mu, a.nu), "Littlewood-Richardson coefficient"),
+        ("redkron", lambda a: reduced_kronecker(a.lam, a.mu, a.nu),
+         "reduced (stable) Kronecker coefficient"),
     ):
         p = sub.add_parser(name, help=help_text)
         triple(p)
-        p.set_defaults(handler=_cmd_value, compute=lambda a, f=coefficient: f(a.lam, a.mu, a.nu))
+        p.set_defaults(handler=_cmd_value, compute=compute)
 
     for name, compute, help_text in (
-        ("tensor", tensor_decompose, "full S_n tensor product decomposition"),
-        ("redtensor", reduced_tensor_decompose, "stable product of two classes"),
+        ("tensor", lambda a: tensor_decompose(a.lam, a.mu),
+         "full S_n tensor product decomposition"),
+        ("redtensor", lambda a: reduced_tensor_decompose(a.lam, a.mu),
+         "stable product of two classes"),
     ):
         p = sub.add_parser(name, help=help_text)
         _partition_flag(p, "--lambda", "lam")
@@ -182,15 +194,15 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("--a", "--b", "--c", "--d", "--x", "--y"):
         g.add_argument(flag, dest=flag[2:], type=int, required=True)
     g.set_defaults(handler=_cmd_value, compute=lambda a: reach_count(a.a, a.b, a.c, a.d, a.x, a.y))
-    for form, family, help_text in (
-        ("two-row", reduced_two_row, "two one-row shapes"),
-        ("hook", reduced_hook, "two one-column shapes"),
+    for form, compute, help_text in (
+        ("two-row", lambda a: reduced_two_row(a.j, a.k, a.nu), "two one-row shapes"),
+        ("hook", lambda a: reduced_hook(a.j, a.k, a.nu), "two one-column shapes"),
     ):
         p = forms.add_parser(form, help=help_text)
         p.add_argument("--j", type=int, required=True)
         p.add_argument("--k", type=int, required=True)
         _partition_flag(p, "--nu", "nu")
-        p.set_defaults(handler=_cmd_value, compute=lambda a, f=family: f(a.j, a.k, a.nu))
+        p.set_defaults(handler=_cmd_value, compute=compute)
 
     # check and scan get one subcommand per SCANS row. A row whose payloads
     # are n-tuples takes --part in check and --n in scan; a scan takes --cache
@@ -243,10 +255,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None
+
+
 def run_command(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
