@@ -699,7 +699,7 @@ class TestParserReuse:
         monkeypatch.setattr(cli, "_PARSER", None)
         monkeypatch.setattr(cli, "build_parser", counting)
         assert run(capsys, "dim", "--lambda", "3,2,1") == (0, "16\n", "")
-        assert run(capsys, "kron", "--lambda", "2,2", "--mu", "2,2", "--nu", "2,2")[:2] == (0, "1\n")
+        assert run(capsys, "dim", "--lambda", "1", "--d", "6") == (0, "5\n", "")
         assert len(builds) == 1
 
     def test_import_builds_no_parser(self, monkeypatch):
