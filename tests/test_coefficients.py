@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import kroncave
 from kroncave import coefficients
-from kroncave.characters import DEFAULT_TABLE, CharacterTable, dimension
+from kroncave.characters import DEFAULT_TABLE, CharacterTable, character_value, dimension
+from kroncave.closed_forms import reduced_hook, reduced_two_row
 from kroncave.coefficients import (
     clear_caches,
     kronecker,
@@ -25,7 +26,7 @@ from kroncave.coefficients import (
     stable_ring_multiply,
     tensor_decompose,
 )
-from kroncave.conjectures import scan
+from kroncave.conjectures import check_payload, scan
 from kroncave.errors import InvariantViolation, PadTooSmall, SizeMismatch
 from kroncave.partitions import (
     conjugate,
@@ -839,10 +840,18 @@ class TestInvariantChecks:
         (reduced_kronecker, ((1, 0), (5,), (1,))),  # fails the size triangle
         (reduced_kronecker, ((2, -1), (1,), (1,))),
         (lr_expand, ((1, 2), (1,))),  # was {(2, 2): 1}
+        (reduced_hook, (1, 1, (0,))),  # was 2; nu = () gives 1
+        (reduced_hook, (1, 1, (1, 1, 0))),  # was 0; nu = (1, 1) gives 1
+        (reduced_two_row, (2, 2, (1, 2))),  # was 0
+        (tensor_decompose, ((3, 0), (3,))),  # was {(3,): 1}, with a (3, 0) row
+        (check_payload, ("midpoint_kronecker", ((2, 0), (2,)))),  # passed as lambda=2,0
+        (character_value, ((2, 1, 0), (1, 1, 1))),  # was 2
     ],
     ids=["zero-part-kronecker", "zero-part-lr", "zero-part-redtensor",
          "increasing-kronecker", "zero-part-redkron", "negative-part-redkron",
-         "increasing-lr-expand"],
+         "increasing-lr-expand", "zero-target-hook", "trailing-zero-target-hook",
+         "increasing-target-two-row", "zero-part-tensor", "zero-part-midpoint-kronecker",
+         "zero-part-character"],
 )
 def test_non_partitions_raise_before_any_shortcut(function, args):
     """A zero, negative or increasing part is a ValueError, never a value

@@ -292,3 +292,14 @@ def test_padded_tableau_counts_have_one_path():
     form, never from the hook formula run on a built padded shape."""
     found = [path.name for path in sorted(PACKAGE.glob("*.py")) if "syt_count(pad(" in path.read_text()]
     assert not found, found
+
+
+def test_the_partition_rule_has_one_home():
+    """Only partitions.conjugate says what a partition is; every other module
+    validates through it, so no module has a rule of its own to drift."""
+    found = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "partitions.py" and "not a partition" in path.read_text()
+    ]
+    assert not found, found
