@@ -10,7 +10,7 @@ step set; the characteristic conditions are plain inequalities on halves).
 
 from __future__ import annotations
 
-from .partitions import Partition, part
+from .partitions import Partition, conjugate, part
 
 
 def _count_with_parity(lo: int, hi: int, parity: int) -> int:
@@ -47,6 +47,7 @@ def reduced_two_row(j: int, k: int, nu: Partition) -> int:
     if j < 0 or k < 0:
         raise ValueError("row lengths must be nonnegative")
     nu = tuple(nu)
+    conjugate(nu)  # ValueError unless nu is a partition
     if len(nu) > 3:
         return 0
     if j > k:
@@ -69,6 +70,7 @@ def reduced_hook(j: int, k: int, nu: Partition) -> int:
     if j < 1 or k < 1:
         raise ValueError("column heights must be positive")
     nu = tuple(nu)
+    conjugate(nu)  # ValueError unless nu is a partition
     if not nu:
         return int(j == k)
     if nu[0] == 1:

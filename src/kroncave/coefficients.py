@@ -244,6 +244,7 @@ def _packed_table(n: int) -> _PackedTable:
 def tensor_decompose(lam: Partition, mu: Partition) -> dict[Partition, int]:
     """Full decomposition of the S_n tensor product lam (x) mu as {nu: multiplicity},
     nonzero entries only, from one packed class sum (module docstring)."""
+    _check_partitions(lam, mu)
     n = sum(lam)
     if sum(mu) != n:
         raise SizeMismatch(f"sizes differ: {sum(lam)} vs {sum(mu)}")
