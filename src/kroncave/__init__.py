@@ -5,7 +5,6 @@ ring."""
 
 from .characters import (
     CharacterTable,
-    character,
     character_value,
     class_sizes,
     dimension,

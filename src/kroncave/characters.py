@@ -4,13 +4,16 @@ Values come from the Murnaghan-Nakayama border-strip recursion, evaluated on
 the abacus of the shape: its beta-set (first-column hook lengths) as a bitmask
 with one bead per row. Removing a border strip of length t moves the bead at b
 to b - t when that position is free; the sign is the parity of the beads
-strictly between. Zero rows are the trailing set bits, which are shifted out,
-so each mask with bit 0 clear is exactly one shape. The memo has two levels,
-memo[cycles][mask] -> value: each remaining cycle type is held once, with an
-int-keyed row of the shapes of its size. Cycles are consumed largest first,
-which shrinks the shape fastest and maximizes memo reuse across queries. All
-arithmetic is exact Python ints; factorials past 20! overflow machine words,
-so nothing here may ever round.
+strictly between. A shape has no zero rows (partitions.conjugate is the one
+partition rule, and _mask checks through it), so its mask has bit 0 clear;
+a strip that empties the lowest rows leaves trailing set bits, which _chi
+shifts out, so each mask with bit 0 clear is exactly one shape. The memo has
+two levels, memo[cycles][mask] -> value: each remaining cycle type is held
+once, with an int-keyed row of the shapes of its size, and _chi is the one
+place that probes it. Cycles are consumed largest first, which shrinks the
+shape fastest and maximizes memo reuse across queries. All arithmetic is
+exact Python ints; factorials past 20! overflow machine words, so nothing
+here may ever round.
 
 A conjugacy class of S_n is its cycle type, a partition of n. The classes
 are indexed in the order of partitions_of(n), and class_sizes(n) lists their
@@ -23,7 +26,7 @@ import math
 from functools import lru_cache
 
 from .errors import InvariantViolation, SizeMismatch
-from .partitions import Partition, partitions_of, syt_count
+from .partitions import Partition, conjugate, partitions_of, syt_count
 
 
 @lru_cache(maxsize=None)
@@ -51,18 +54,18 @@ def class_sizes(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _mask(lam: Partition) -> int:
-    """Beta-set bitmask of a partition, zero rows dropped: one bead per row.
+    """Beta-set bitmask of a partition: one bead per row.
 
-    Row i of m sits at bit lam[i] + (m - 1 - i). A mask with bit 0 clear is
-    exactly one shape, so the mask stands in for the shape in memo keys.
+    Row i of m sits at bit lam[i] + (m - 1 - i). conjugate raises ValueError
+    unless lam is a partition, whose rows are all positive, so bit 0 is clear
+    and the mask stands in for the shape in memo keys.
     """
+    conjugate(lam)
     m = len(lam)
     mask = 0
     for i, part in enumerate(lam):
-        if part < 0 or (i and lam[i - 1] < part):
-            raise ValueError(f"not a partition: {lam}")
         mask |= 1 << (part + m - 1 - i)
-    return mask >> ((mask ^ (mask + 1)).bit_length() - 1)
+    return mask
 
 
 def _chi(mask: int, cycles: Partition, memo: dict) -> int:
@@ -108,24 +111,16 @@ def character_value(
 ) -> int:
     """Character of the irreducible labelled lam on the class with these cycles.
 
-    cycles must be sorted weakly decreasing and sum to |lam| (SizeMismatch
-    otherwise). Pass a dict to memoize across calls (keyed by cycles, then by
-    beta-set mask); None gives this call a memo of its own.
+    lam must be a partition (ValueError otherwise), and cycles must be sorted
+    weakly decreasing and sum to |lam| (SizeMismatch otherwise). Pass a dict
+    to memoize across calls (keyed by cycles, then by beta-set mask); None
+    gives this call a memo of its own. The memo is probed only in _chi.
     """
     cycles = tuple(cycles)
     mask = _mask(lam)
-    if memo is None:
-        memo = {}
-    # A row of cycles holds only shapes of size |cycles|, so a hit needs no
-    # size check.
-    row = memo.get(cycles)
-    if row is not None:
-        hit = row.get(mask)
-        if hit is not None:
-            return hit
     if sum(lam) != sum(cycles):
         raise SizeMismatch(f"|lam|={sum(lam)} but cycle type has size {sum(cycles)}")
-    return _chi(mask, cycles, memo)
+    return _chi(mask, cycles, {} if memo is None else memo)
 
 
 class CharacterTable:
@@ -152,13 +147,9 @@ class CharacterTable:
 DEFAULT_TABLE = CharacterTable()
 
 
-def character(lam: Partition, rho) -> int:
-    return DEFAULT_TABLE.character(lam, rho)
-
-
 def dimension(lam: Partition) -> int:
     """Character on the identity class, checked against the hook count."""
-    value = character(lam, (1,) * sum(lam))
+    value = character_value(lam, (1,) * sum(lam))
     expected = syt_count(lam)
     if value != expected:
         raise InvariantViolation(f"dimension mismatch for {lam}: {value} != {expected}")

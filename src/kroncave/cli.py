@@ -19,8 +19,8 @@ import json
 import os
 import sys
 
+from .characters import character_value
 from .characters import dimension as char_dimension
-from .characters import character
 from .closed_forms import reach_count, reduced_hook, reduced_two_row
 from .coefficients import (
     kronecker,
@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("char", help="irreducible character value on a cycle type")
     _partition_flag(p, "--lambda", "lam")
     _partition_flag(p, "--rho", "rho", help_text="cycle type as partition text")
-    p.set_defaults(handler=_cmd_value, compute=lambda a: character(a.lam, a.rho))
+    p.set_defaults(handler=_cmd_value, compute=lambda a: character_value(a.lam, a.rho))
 
     p = sub.add_parser("dim", help="dimension (standard tableau count), optionally padded")
     _partition_flag(p, "--lambda", "lam")

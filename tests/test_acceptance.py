@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from kroncave.characters import character, class_sizes
+from kroncave.characters import character_value, class_sizes
 from kroncave.closed_forms import reach_count, reduced_hook, reduced_two_row
 from kroncave.coefficients import (
     clear_caches,
@@ -301,7 +301,7 @@ def test_criterion_10_property_suites():
             for lam in partitions_of(n):
                 for mu in partitions_of(n):
                     total = sum(
-                        size * character(lam, rho) * character(mu, rho)
+                        size * character_value(lam, rho) * character_value(mu, rho)
                         for rho, size in classes
                     )
                     assert total == (math.factorial(n) if lam == mu else 0)

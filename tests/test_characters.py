@@ -12,7 +12,6 @@ import kroncave
 from kroncave.characters import (
     CharacterTable,
     _mask,
-    character,
     character_value,
     class_sizes,
     dimension,
@@ -48,7 +47,7 @@ class TestCycleType:
     def test_transposition(self):
         sizes = dict(zip(partitions_of(4), class_sizes(4)))
         assert sizes[2, 1, 1] == 6  # transpositions in S_4
-        assert character((1, 1, 1, 1), (2, 1, 1)) == -1  # and they are odd
+        assert character_value((1, 1, 1, 1), (2, 1, 1)) == -1  # and they are odd
 
     def test_matches_permutation_count(self):
         for n in range(8):
@@ -80,17 +79,17 @@ class TestCharacter:
     def test_trivial_representation(self):
         for n in range(1, 8):
             for rho in partitions_of(n):
-                assert character((n,), rho) == 1
+                assert character_value((n,), rho) == 1
 
     def test_sign_on_transposition(self):
-        assert character((1, 1), (2,)) == -1
+        assert character_value((1, 1), (2,)) == -1
 
     def test_staircase_dimension_value(self):
-        assert character((2, 1), (1, 1, 1)) == 2 == syt_count_bruteforce((2, 1))
+        assert character_value((2, 1), (1, 1, 1)) == 2 == syt_count_bruteforce((2, 1))
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
-            character((2, 1), (2, 2))
+            character_value((2, 1), (2, 2))
         warm = {}
         character_value((2, 1), (1, 1, 1), warm)
         character_value((1,), (1,), warm)
@@ -104,7 +103,7 @@ class TestCharacter:
             for lam in partitions_of(n):
                 for rho in partitions_of(n):
                     sign = (-1) ** (n - len(rho))
-                    assert character(conjugate(lam), rho) == sign * character(lam, rho)
+                    assert character_value(conjugate(lam), rho) == sign * character_value(lam, rho)
 
     def test_orthogonality(self):
         for n in range(9):
@@ -112,7 +111,7 @@ class TestCharacter:
             for lam in partitions_of(n):
                 for mu in partitions_of(n):
                     total = sum(
-                        size * character(lam, rho) * character(mu, rho)
+                        size * character_value(lam, rho) * character_value(mu, rho)
                         for rho, size in classes
                     )
                     assert total == (math.factorial(n) if lam == mu else 0)
@@ -139,7 +138,7 @@ class TestCharacter:
     def test_values_are_ints(self):
         for lam in partitions_of(6):
             for rho in partitions_of(6):
-                assert isinstance(character(lam, rho), int)
+                assert isinstance(character_value(lam, rho), int)
 
 
 class TestDimension:
@@ -218,13 +217,13 @@ class TestHitFirstLookup:
 
     def test_size_mismatch_survives_optimize_flag(self):
         code = (
-            "from kroncave.characters import character\n"
+            "from kroncave.characters import character_value\n"
             "from kroncave.errors import SizeMismatch\n"
             "if __debug__:\n"
             "    raise SystemExit('not running under -O')\n"
-            "assert character((2, 1), (1, 1, 1)) == 2\n"
+            "assert character_value((2, 1), (1, 1, 1)) == 2\n"
             "try:\n"
-            "    character((2, 1), (2, 2))\n"
+            "    character_value((2, 1), (2, 2))\n"
             "except SizeMismatch as exc:\n"
             "    print('SizeMismatch:', exc)\n"
         )
@@ -239,7 +238,7 @@ class TestHitFirstLookup:
     def test_clear_caches_empties_mask_cache(self):
         from kroncave import characters, coefficients, partitions
 
-        character((3, 1), (2, 2))
+        character_value((3, 1), (2, 2))
         coefficients.tensor_decompose((2, 1), (2, 1))
         coefficients.lr_expand((2, 1), (1,))
         coefficients.reduced_tensor_decompose((1,), (1,))

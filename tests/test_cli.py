@@ -675,7 +675,7 @@ ENGINE_COMMANDS = [
     ("tensor_decompose", ("tensor", "--lambda", "1,1", "--mu", "1,1"), {(4, 3): SENTINEL}),
     ("reduced_tensor_decompose", ("redtensor", "--lambda", "1", "--mu", "1"),
      {(4, 3): SENTINEL}),
-    ("character", ("char", "--lambda", "1,1", "--rho", "2"), SENTINEL),
+    ("character_value", ("char", "--lambda", "1,1", "--rho", "2"), SENTINEL),
     ("char_dimension", ("dim", "--lambda", "3,2,1"), SENTINEL),
     ("reach_count", ("closed-form", "gamma", "--a", "2", "--b", "2", "--c", "1", "--d", "2",
                      "--x", "4", "--y", "2"), SENTINEL),
