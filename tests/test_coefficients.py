@@ -846,12 +846,17 @@ class TestInvariantChecks:
         (tensor_decompose, ((3, 0), (3,))),  # was {(3,): 1}, with a (3, 0) row
         (check_payload, ("midpoint_kronecker", ((2, 0), (2,)))),  # passed as lambda=2,0
         (character_value, ((2, 1, 0), (1, 1, 1))),  # was 2
+        (stable_ring_compare, ({(1, 0): 1}, {(1,): 1})),  # was incomparable
+        (stable_ring_compare, ({(1, 2): 1}, {(2, 1): 1})),  # was incomparable
+        (pad, ((1, 2), 6)),  # was (3, 1, 2)
+        (stabilization_start, ((1, 0), (1,), (1,))),  # was 3
     ],
     ids=["zero-part-kronecker", "zero-part-lr", "zero-part-redtensor",
          "increasing-kronecker", "zero-part-redkron", "negative-part-redkron",
          "increasing-lr-expand", "zero-target-hook", "trailing-zero-target-hook",
          "increasing-target-two-row", "zero-part-tensor", "zero-part-midpoint-kronecker",
-         "zero-part-character"],
+         "zero-part-character", "zero-part-compare", "increasing-compare",
+         "increasing-pad", "zero-part-stabilization-start"],
 )
 def test_non_partitions_raise_before_any_shortcut(function, args):
     """A zero, negative or increasing part is a ValueError, never a value
