@@ -378,6 +378,7 @@ def _lr_square(p: Partition) -> dict[Partition, int]:
 
 def stabilization_start(lam: Partition, mu: Partition, nu: Partition) -> int:
     """First padded size d of the stable range, by the Briand-Orellana-Rosas bound."""
+    _check_partitions(lam, mu, nu)
     return max(
         sum(lam) + part(lam, 1),
         sum(mu) + part(mu, 1),
@@ -506,7 +507,9 @@ class CompareResult(NamedTuple):
 
 
 def stable_ring_compare(a: dict, b: dict) -> CompareResult:
-    """Compare two {class: coefficient} dicts coefficientwise."""
+    """Compare two {class: coefficient} dicts coefficientwise; every class
+    must be a partition."""
+    _check_partitions(*a, *b)
     diff = dict(a)
     for p, c in b.items():
         diff[p] = diff.get(p, 0) - c

@@ -29,9 +29,12 @@ def canonical_key(p: Partition) -> tuple[int, Partition]:
 
 
 def pad(p: Partition, d: int) -> Partition:
-    """Prepend a long first row so the result is a partition of d."""
+    """Prepend a long first row so the result is a partition of d.
+
+    p's first row is read as the length of its conjugate, so a non-partition
+    raises ValueError."""
     head = d - sum(p)
-    first = p[0] if p else 0
+    first = len(conjugate(p))
     if head < first:
         raise PadTooSmall(f"need d >= {sum(p) + first} to pad {p or '()'}, got {d}")
     if head == 0:
