@@ -399,6 +399,29 @@ class TestLrExpand:
         for lam, mu, _ in self.pairs(10):
             assert lr_expand(lam, mu) == lr_expand(mu, lam), (lam, mu)
 
+    def test_conjugate_product_is_the_conjugate(self):
+        """c^nu_{lam mu} = c^{nu'}_{lam' mu'}: the product of the conjugates,
+        with its keys conjugated, is the product."""
+        for lam, mu, _ in self.pairs(10):
+            flipped = lr_expand(conjugate(lam), conjugate(mu))
+            assert {conjugate(nu): c for nu, c in flipped.items()} == lr_expand(lam, mu), (lam, mu)
+
+    def test_walk_labels_with_fewest_rows(self, monkeypatch):
+        """Each product is one walk, which adds one label per row of its second
+        factor; of lam, mu and their conjugates it labels with the fewest rows."""
+        original = coefficients._lr_walk
+        labels = []
+
+        def counted(lam, mu):
+            labels.append(len(mu))
+            return original(lam, mu)
+
+        monkeypatch.setattr(coefficients, "_lr_walk", counted)
+        for lam, mu, _ in self.pairs(9):
+            labels.clear()
+            lr_expand(lam, mu)
+            assert labels == [min(len(lam), len(mu), part(lam, 1), part(mu, 1))], (lam, mu)
+
     def test_edge_cases(self):
         assert lr_expand((), ()) == {(): 1}
         assert lr_expand((3, 1), ()) == {(3, 1): 1}

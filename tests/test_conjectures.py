@@ -32,6 +32,14 @@ from kroncave.store import ENGINE_VERSION, CoefficientCache, parse_partition_tex
 from oracles import jacobi_trudi_kronecker
 
 
+def has_exact_midpoint(lam, mu):
+    try:
+        midpoint(lam, mu)
+    except NotIntegral:
+        return False
+    return True
+
+
 def box_move_count(source, target):
     """Ways to turn source into target by removing one corner and adding one box.
 
@@ -341,19 +349,30 @@ class TestScan:
             assert asked == workers, (cpus, jobs)
 
     def test_parent_alone_decides_skips(self, monkeypatch):
-        """A pair the parity filter admits is checked; a NotIntegral is an error."""
-        monkeypatch.setattr(conjectures, "_has_exact_midpoint", lambda lam, mu: True)
+        """A pair the row's enumerator admits is checked; a NotIntegral is an error."""
+        row = conjectures.SCANS["midpoint_reduced"]
+
+        def every_pair(max_boxes, equal_sizes, n):
+            return list(conjectures._pairs_with_total(max_boxes, equal_sizes)), 0
+
+        monkeypatch.setitem(conjectures.SCANS, "midpoint_reduced", row._replace(payloads=every_pair))
         with pytest.raises(NotIntegral):
             scan("midpoint-reduced", 4)
 
     def test_parity_filter_matches_midpoint(self):
+        admitted = set(conjectures._midpoint_pairs(8, False, 2)[0])
         for lam, mu in conjectures._pairs_with_total(8):
-            try:
-                midpoint(lam, mu)
-                exact = True
-            except NotIntegral:
-                exact = False
-            assert conjectures._has_exact_midpoint(lam, mu) == exact, (lam, mu)
+            assert ((lam, mu) in admitted) == has_exact_midpoint(lam, mu), (lam, mu)
+
+    @pytest.mark.parametrize("equal_sizes", [False, True])
+    def test_midpoint_enumerator_is_the_filtered_pairs(self, equal_sizes):
+        """The bucketed enumerator yields the candidate pairs with an exact
+        midpoint, in their order, and counts the rest as skipped."""
+        for max_boxes in range(15):
+            every = list(conjectures._pairs_with_total(max_boxes, equal_sizes))
+            kept = [pair for pair in every if has_exact_midpoint(*pair)]
+            got = conjectures._midpoint_pairs(max_boxes, equal_sizes, 2)
+            assert got == (kept, len(every) - len(kept)), max_boxes
 
     def test_cache_lines_match_across_job_counts(self, tmp_path):
         lines = []

@@ -303,3 +303,15 @@ def test_the_partition_rule_has_one_home():
         if path.name != "partitions.py" and "not a partition" in path.read_text()
     ]
     assert not found, found
+
+
+def test_lr_coefficient_reaches_neither_lr_expand_nor_its_walk():
+    """lr_coefficient is the oracle that tests compare lr_expand against, so it
+    stays independent of the walk and of the rule that orients it."""
+    tree = dict(package_trees())["coefficients.py"]
+    function = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "lr_coefficient"
+    )
+    names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(function)}
+    assert not names & {"lr_expand", "_lr_walk"}, sorted(names & {"lr_expand", "_lr_walk"})
