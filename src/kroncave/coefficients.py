@@ -331,13 +331,29 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
 def lr_expand(lam: Partition, mu: Partition) -> dict[Partition, int]:
     """The whole product s_lam s_mu as {nu: c^nu_{lam mu}}, nonzero entries only.
 
-    One walk over all LR fillings: label i = 1..len(mu) adds mu_i cells to the
-    current shape as a horizontal strip, and the lattice condition keeps the
-    number of i's in rows <= r at most the number of (i-1)'s in rows <= r-1.
-    Each completed filling adds 1 to its outer shape.
+    One _lr_walk, which adds one label per row of its second factor. By
+    c^nu_{lam mu} = c^nu_{mu lam} = c^{nu'}_{lam' mu'} the walk may run on
+    the pair in either order, or on the conjugates with its keys conjugated
+    back, so it runs on whichever labels with the fewest rows:
+    min(len(lam), len(mu), lam1, mu1).
     """
     lam, mu = tuple(lam), tuple(mu)
     _check_partitions(lam, mu)
+    flip = min(part(lam, 1), part(mu, 1)) < min(len(lam), len(mu))
+    if flip:
+        lam, mu = conjugate(lam), conjugate(mu)
+    if len(mu) > len(lam):
+        lam, mu = mu, lam
+    out = _lr_walk(lam, mu)
+    return {conjugate(nu): c for nu, c in out.items()} if flip else out
+
+
+def _lr_walk(lam: Partition, mu: Partition) -> dict[Partition, int]:
+    """s_lam s_mu by one walk over all LR fillings: label i = 1..len(mu) adds
+    mu_i cells to the current shape as a horizontal strip, and the lattice
+    condition keeps the number of i's in rows <= r at most the number of
+    (i-1)'s in rows <= r-1. Each completed filling adds 1 to its outer shape.
+    """
     height = len(lam) + len(mu)
     out: dict[Partition, int] = {}
 
