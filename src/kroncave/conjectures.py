@@ -13,7 +13,6 @@ import json
 import os
 import time
 from functools import partial, reduce
-from itertools import zip_longest
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .closed_forms import reduced_hook, reduced_two_row
@@ -129,9 +128,92 @@ def _interleaved(ring: Ring, parts: tuple, cache):
     return splits, ring.multiply(splits, cache)
 
 
+# -- payloads ------------------------------------------------------------------
+# A scan row declares its enumerator: (max_boxes, equal_sizes, n) -> (payloads,
+# skipped), its payloads in canonical order and the number of candidates it
+# left out. equal_sizes is the ring's same_size; n, the parts of an n-tuple
+# row, is read by that row only.
+
+
+def _pairs_with_total(max_boxes: int, equal_sizes: bool = False) -> Iterator[tuple]:
+    """Unordered pairs with |lam| + |mu| <= max_boxes, canonical order."""
+    for total in range(max_boxes + 1):
+        for a in range(total + 1):
+            if equal_sizes and 2 * a != total:
+                continue
+            for lam in sorted(partitions_of(a)):
+                for mu in sorted(partitions_of(total - a)):
+                    if canonical_key(lam) <= canonical_key(mu):
+                        yield lam, mu
+
+
+def _multisets_with_total(max_boxes: int, n: int) -> Iterator[tuple]:
+    """Multisets of n partitions with total size <= max_boxes, canonical order.
+
+    At most max_boxes parts are non-empty, so the empty parts lead, most
+    first, and the recursion runs over the non-empty ones only.
+    """
+    pool = list(partitions_up_to(max_boxes))[1:]  # non-empty, size-major ascending
+
+    def rec(start: int, remaining: int, chosen: tuple):
+        if len(chosen) == n:
+            yield chosen
+            return
+        for i in range(start, len(pool)):
+            p = pool[i]
+            if sum(p) > remaining:
+                break
+            yield from rec(i, remaining - sum(p), chosen + (p,))
+
+    for empties in range(n, max(0, n - max_boxes) - 1, -1):
+        yield from rec(0, max_boxes, ((),) * empties)
+
+
+def _all_pairs(max_boxes: int, equal_sizes: bool, n: int) -> tuple[list, int]:
+    return list(_pairs_with_total(max_boxes, equal_sizes)), 0
+
+
+def _all_multisets(max_boxes: int, equal_sizes: bool, n: int) -> tuple[list, int]:
+    return list(_multisets_with_total(max_boxes, n)), 0
+
+
+def _parity_signature(p: Partition) -> tuple[int, ...]:
+    """The positions of p's odd parts: its parts mod 2, trailing zeros
+    dropped. Two partitions have an exact midpoint exactly when their
+    signatures agree."""
+    return tuple(i for i, x in enumerate(p) if x % 2)
+
+
+def _midpoint_pairs(max_boxes: int, equal_sizes: bool, n: int) -> tuple[list, int]:
+    """The pairs of _pairs_with_total that have an exact midpoint, in its
+    order. Each size's partitions are bucketed by parity signature, so only
+    those pairs are built; the candidates are counted, p(a) p(b) of sizes
+    a < b and p(a)(p(a) + 1)/2 of sizes a = b."""
+    buckets = []  # sizes up to the largest second size
+    for size in range(max_boxes // 2 + 1 if equal_sizes else max_boxes + 1):
+        bucket: dict = {}
+        for p in sorted(partitions_of(size)):
+            bucket.setdefault(_parity_signature(p), []).append(p)
+        buckets.append(bucket)
+    pairs: list = []
+    candidates = 0
+    for total in range(max_boxes + 1):
+        for a in range(total // 2 + 1):  # canonical order puts the smaller size first
+            b = total - a
+            if equal_sizes and a != b:
+                continue
+            count = len(partitions_of(a))
+            candidates += count * (count + 1) // 2 if a == b else count * len(partitions_of(b))
+            for lam in sorted(partitions_of(a)):
+                mates = buckets[b].get(_parity_signature(lam), ())
+                pairs += [(lam, mu) for mu in mates if a < b or lam <= mu]
+    return pairs, candidates - len(pairs)
+
+
 class ScanRow(NamedTuple):
     ring: Ring
     larger: Callable[[Ring, tuple, object], tuple]  # (ring, parts, cache) -> (factors, side)
+    payloads: Callable[[int, bool, int], tuple]  # the enumerator a scan takes its payloads from
     pairs: bool = True  # payloads are (lam, mu) pairs; else n-tuples, n set per scan
 
     @property
@@ -148,11 +230,11 @@ class ScanRow(NamedTuple):
 # chain with two inputs is sort; with three its smallest failure is
 # (1), (1,1), (2), at 5 boxes.
 SCANS = {
-    "midpoint_reduced": ScanRow(_STABLE, _midpoint_squared),
-    "midpoint_kronecker": ScanRow(_SYMMETRIC, _midpoint_squared),
-    "sort": ScanRow(_STABLE, _interleaved),
-    "chain": ScanRow(_STABLE, _interleaved, pairs=False),
-    "schur_lr": ScanRow(_SCHUR, _midpoint_squared),
+    "midpoint_reduced": ScanRow(_STABLE, _midpoint_squared, _midpoint_pairs),
+    "midpoint_kronecker": ScanRow(_SYMMETRIC, _midpoint_squared, _midpoint_pairs),
+    "sort": ScanRow(_STABLE, _interleaved, _all_pairs),
+    "chain": ScanRow(_STABLE, _interleaved, _all_multisets, pairs=False),
+    "schur_lr": ScanRow(_SCHUR, _midpoint_squared, _midpoint_pairs),
 }
 
 
@@ -264,45 +346,6 @@ def check_murnaghan_littlewood(budget: int) -> ViolationReport:
 # -- scans ------------------------------------------------------------------
 
 
-def _pairs_with_total(max_boxes: int, equal_sizes: bool = False) -> Iterator[tuple]:
-    """Unordered pairs with |lam| + |mu| <= max_boxes, canonical order."""
-    for total in range(max_boxes + 1):
-        for a in range(total + 1):
-            if equal_sizes and 2 * a != total:
-                continue
-            for lam in sorted(partitions_of(a)):
-                for mu in sorted(partitions_of(total - a)):
-                    if canonical_key(lam) <= canonical_key(mu):
-                        yield lam, mu
-
-
-def _multisets_with_total(max_boxes: int, n: int) -> Iterator[tuple]:
-    """Multisets of n partitions with total size <= max_boxes, canonical order.
-
-    At most max_boxes parts are non-empty, so the empty parts lead, most
-    first, and the recursion runs over the non-empty ones only.
-    """
-    pool = list(partitions_up_to(max_boxes))[1:]  # non-empty, size-major ascending
-
-    def rec(start: int, remaining: int, chosen: tuple):
-        if len(chosen) == n:
-            yield chosen
-            return
-        for i in range(start, len(pool)):
-            p = pool[i]
-            if sum(p) > remaining:
-                break
-            yield from rec(i, remaining - sum(p), chosen + (p,))
-
-    for empties in range(n, max(0, n - max_boxes) - 1, -1):
-        yield from rec(0, max_boxes, ((),) * empties)
-
-
-def _has_exact_midpoint(lam: Partition, mu: Partition) -> bool:
-    """Is every componentwise sum even, with the shorter partition zero-padded?"""
-    return all((a + b) % 2 == 0 for a, b in zip_longest(lam, mu, fillvalue=0))
-
-
 _WORKER_CACHE = None
 
 
@@ -328,9 +371,9 @@ def scan(
 ) -> ViolationReport:
     """Run one SCANS check over every payload within the box budget.
 
-    For a row that needs an exact midpoint, the parent dispatches only the
-    pairs whose componentwise sums are all even and counts the others as
-    skipped; a dispatched pair that raises is an error. Up to
+    The row's enumerator decides the payloads and the skipped count alone: a
+    midpoint row dispatches only the pairs whose componentwise sums are all
+    even, and a dispatched pair that raises is an error. Up to
     min(jobs, dispatched payloads, CPUs) workers run in parallel, and none
     when that is 1; the merge is a fold in enumeration order, so reports do
     not depend on the schedule. A serial scan passes the cache (stable rows
@@ -348,14 +391,9 @@ def scan(
     name = conjecture.replace("-", "_")
     start = time.monotonic()
     subject = f"scan:{name}:max_boxes={max_boxes}"
-    if row.pairs:
-        candidates = list(_pairs_with_total(max_boxes, row.ring.same_size))
-    else:
-        candidates = list(_multisets_with_total(max_boxes, chain_n))
+    payloads, skipped = row.payloads(max_boxes, row.ring.same_size, chain_n)
+    if not row.pairs:
         subject += f":n={chain_n}"
-    payloads = candidates
-    if row.larger is _midpoint_squared:  # only pairs with an exact midpoint
-        payloads = [pair for pair in candidates if _has_exact_midpoint(*pair)]
     # A forked pool starts every worker up front, so never ask for more
     # workers than there are tasks or CPUs.
     workers = min(jobs, len(payloads), os.cpu_count() or 1)
@@ -378,7 +416,6 @@ def scan(
                 violations.extend(found)
                 for pair, product in records:
                     cache.put(*pair, product)
-    skipped = len(candidates) - len(payloads)
     return ViolationReport(subject, len(payloads), skipped, violations, _elapsed_ms(start))
 
 
