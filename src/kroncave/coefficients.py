@@ -42,10 +42,20 @@ rebuilt when one of its rows is no longer the one the row store holds.
 
 Littlewood-Richardson coefficients count skew tableaux by depth-first
 construction with lattice pruning; a whole product s_lam s_mu is one walk
-over all LR fillings, adding the labels of mu as horizontal strips (the walk
-of Buch's lrcalc). Reduced Kronecker coefficients are the stable values of
-padded Kronecker sequences, read at the bound of Briand, Orellana and Rosas
-(J. Algebra 2011): g(lam[d], mu[d], nu[d]) is constant for
+over all LR fillings, adding the labels of one factor as horizontal strips
+(the walk of Buch's lrcalc), one label per row of that factor. Two
+identities let the walk pick its factor:
+
+  c^nu_{lam mu} = c^nu_{mu lam}   and   c^nu_{lam mu} = c^{nu'}_{lam' mu'},
+
+so lr_expand labels with whichever of mu, lam, mu', lam' has the fewest
+rows, min(len(lam), len(mu), lam1, mu1), and conjugates the keys back when
+it walked the conjugates. lr_coefficient, the oracle the tests hold
+lr_expand to, fills tableaux of nu/lam itself and never calls the walk.
+
+Reduced Kronecker coefficients are the stable values of padded Kronecker
+sequences, read at the bound of Briand, Orellana and Rosas (J. Algebra
+2011): g(lam[d], mu[d], nu[d]) is constant for
 
   d >= floor((|lam|+|mu|+|nu|+lam1+mu1+nu1)/2),
 
