@@ -31,12 +31,15 @@ from kroncave.errors import InvariantViolation, PadTooSmall, SizeMismatch
 from kroncave.partitions import (
     conjugate,
     dvir_inequalities,
+    interleave_split,
+    midpoint,
     murnaghan_inequalities,
     pad,
     part,
     partitions_of,
     partitions_up_to,
     syt_count,
+    union_parts,
 )
 from kroncave.store import CoefficientCache
 
@@ -873,13 +876,18 @@ class TestInvariantChecks:
         (stable_ring_compare, ({(1, 2): 1}, {(2, 1): 1})),  # was incomparable
         (pad, ((1, 2), 6)),  # was (3, 1, 2)
         (stabilization_start, ((1, 0), (1,), (1,))),  # was 3
+        (midpoint, ((1, 2), (1, 2))),  # was (1, 2)
+        (midpoint, ((2,), (0, 2))),  # was (1, 1)
+        (union_parts, ((1, 2), (0,))),  # was (2, 1, 0)
+        (interleave_split, ((1, 2), 2)),  # was [(1,), (2,)]
     ],
     ids=["zero-part-kronecker", "zero-part-lr", "zero-part-redtensor",
          "increasing-kronecker", "zero-part-redkron", "negative-part-redkron",
          "increasing-lr-expand", "zero-target-hook", "trailing-zero-target-hook",
          "increasing-target-two-row", "zero-part-tensor", "zero-part-midpoint-kronecker",
          "zero-part-character", "zero-part-compare", "increasing-compare",
-         "increasing-pad", "zero-part-stabilization-start"],
+         "increasing-pad", "zero-part-stabilization-start", "increasing-midpoint",
+         "zero-part-midpoint", "zero-part-union", "increasing-interleave"],
 )
 def test_non_partitions_raise_before_any_shortcut(function, args):
     """A zero, negative or increasing part is a ValueError, never a value

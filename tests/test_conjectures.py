@@ -455,8 +455,9 @@ class TestScan:
         [("midpoint_kronecker", 20, "tensor_decompose"), ("schur_lr", 12, "lr_expand")],
     )
     def test_each_midpoint_square_is_expanded_once(self, monkeypatch, name, max_boxes, expand):
-        """A scan expands every pair's product once and each distinct midpoint
-        square once, and reports the same bytes as pairs checked on fresh memos."""
+        """A scan expands each distinct product once: every off-diagonal pair's
+        own product and each distinct midpoint square, which a diagonal pair
+        (m, m) shares. It reports the same bytes as pairs checked on fresh memos."""
         original = getattr(coefficients, expand)
         calls = Counter()
 
@@ -487,7 +488,38 @@ class TestScan:
         assert report.canonical_json() == expected.canonical_json()
         squares = {midpoint(lam, mu) for lam, mu in checked}
         assert len(squares) < len(checked)
-        assert calls == Counter(checked) + Counter((m, m) for m in squares)
+        assert any(lam == mu for lam, mu in checked)
+        distinct = {(lam, mu) for lam, mu in checked if lam != mu} | {(m, m) for m in squares}
+        assert calls == Counter(distinct)
+
+    @pytest.mark.parametrize("name, max_boxes", [("midpoint_reduced", 8), ("sort", 6), ("chain", 5)])
+    def test_each_stable_product_is_computed_once(self, monkeypatch, name, max_boxes):
+        """A stable scan computes each distinct product it multiplies once.
+        Every computed product passes the dimension identity once, so its calls
+        count the products computed; a pair row multiplies its payload and
+        the factors of its larger side, and nothing else."""
+        multiply = coefficients.reduced_tensor_decompose
+        identity = coefficients.check_dimension_identity
+        requested, computed = set(), Counter()
+
+        def asked(lam, mu, **kwargs):
+            requested.add(min((lam, mu), (mu, lam)))
+            return multiply(lam, mu, **kwargs)
+
+        def checked(lam, mu, product):
+            computed[min((lam, mu), (mu, lam))] += 1
+            return identity(lam, mu, product)
+
+        monkeypatch.setattr(coefficients, "reduced_tensor_decompose", asked)
+        monkeypatch.setattr(coefficients, "check_dimension_identity", checked)
+        clear_caches()
+        scan(name, max_boxes)
+        assert computed == Counter(requested)
+        row = conjectures.SCANS[name]
+        if row.pairs:
+            payloads, _ = row.payloads(max_boxes, False, 2)
+            sides = {tuple(sorted(side)) for pair in payloads for side in (pair, row.larger(pair))}
+            assert requested == sides
 
     def test_report_json_shape(self):
         report = scan("sort", 4)
@@ -564,6 +596,10 @@ class TestPinnedChecks:
             ("midpoint_kronecker", ((2,), (1, 1)), NotIntegral, "component 1 sums to odd value 3"),
             ("schur_lr", ((2,), (1, 1)), NotIntegral, "component 1 sums to odd value 3"),
             ("chain", (), ValueError, "need at least one partition"),
+            ("midpoint_reduced", ((2,),), ValueError, "midpoint-reduced checks a pair of partitions, got 1"),
+            ("midpoint_kronecker", ((1,), (1,), (1,)), ValueError,
+             "midpoint-kronecker checks a pair of partitions, got 3"),
+            ("sort", ((1,),), ValueError, "sort checks a pair of partitions, got 1"),
         ],
     )
     def test_bad_input_errors(self, check, payload, error, message):

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import re
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import kroncave
 from kroncave.conjectures import SCANS
+from kroncave.partitions import conjugate
 
 PACKAGE = Path(kroncave.__file__).resolve().parent
 
@@ -192,6 +194,22 @@ def test_no_module_branches_on_a_row_name():
     """What a scan row needs is a fact of its SCANS entry, so a new row is one edit."""
     found = package_nodes(compares_to_a_row_name)
     assert not found, found
+
+
+def test_every_larger_side_is_a_rule_on_the_parts():
+    """A row's larger side is a rule on a payload's parts alone: it takes one
+    parameter, no ring and no cache, and returns the partitions whose product
+    check_payload computes. So no rule can thread the cache through itself."""
+    for name, row in SCANS.items():
+        params = inspect.signature(row.larger).parameters
+        assert list(params) == ["parts"], (name, list(params))
+        payloads, _ = row.payloads(6, row.ring.same_size, 3)
+        for parts in payloads:
+            factors = row.larger(parts)
+            assert type(factors) is tuple and factors, (name, parts)
+            for p in factors:
+                assert type(p) is tuple, (name, parts, p)
+                conjugate(p)  # raises ValueError unless p is a partition
 
 
 # The only functions that read or write a persistent cache: the engine's
