@@ -94,8 +94,7 @@ def _elapsed_ms(start: float) -> int:
 class Ring(NamedTuple):
     """How a scan row multiplies classes; only the stable ring reads the cache."""
 
-    multiply: Callable[[tuple, object], dict]  # (factors, cache) -> their product {nu: c}
-    square: Callable[[Partition, object], dict]  # (p, cache) -> p times p, read only
+    multiply: Callable[[tuple, object], dict]  # (factors, cache) -> product {nu: c}, read only
     same_size: bool = False  # classes of one S_n: a payload's parts have one size
     targets: bool = False  # a check counts its size's targets as scanned, not one pair
 
@@ -108,24 +107,23 @@ def _stable_product(factors, cache) -> dict:
 
 
 # The engine memoizes stable products. The fixed-size rings memoize squares
-# only: many pairs share one midpoint, and each pair's product is expanded once.
-_STABLE = Ring(_stable_product, lambda p, cache: _stable_product((p, p), cache))
-_SYMMETRIC = Ring(lambda factors, cache: tensor_decompose(*factors),
-                  lambda p, cache: _tensor_square(p), same_size=True)
-_SCHUR = Ring(lambda factors, cache: lr_expand(*factors),
-              lambda p, cache: _lr_square(p), targets=True)
+# only: many pairs share a midpoint, and a diagonal pair (p, p) is a square.
+_STABLE = Ring(_stable_product)
+_SYMMETRIC = Ring(lambda f, cache: _tensor_square(f[0]) if f[0] == f[1] else tensor_decompose(*f),
+                  same_size=True)
+_SCHUR = Ring(lambda f, cache: _lr_square(f[0]) if f[0] == f[1] else lr_expand(*f),
+              targets=True)
 
 
-def _midpoint_squared(ring: Ring, parts: tuple, cache):
-    """The larger side of a pair: the square of its exact midpoint."""
+def _midpoint_squared(parts: tuple) -> tuple:
+    """The larger side's factors for a pair: its exact midpoint, twice."""
     mid = midpoint(*parts, "exact")  # NotIntegral propagates to the caller
-    return (mid, mid), ring.square(mid, cache)
+    return mid, mid
 
 
-def _interleaved(ring: Ring, parts: tuple, cache):
-    """The larger side: all parts merged, then dealt into len(parts) classes."""
-    splits = tuple(interleave_split(union_parts((), sum(parts, ())), len(parts)))
-    return splits, ring.multiply(splits, cache)
+def _interleaved(parts: tuple) -> tuple:
+    """The larger side's factors: all parts merged, then dealt into len(parts) classes."""
+    return tuple(interleave_split(reduce(union_parts, parts), len(parts)))
 
 
 # -- payloads ------------------------------------------------------------------
@@ -212,7 +210,7 @@ def _midpoint_pairs(max_boxes: int, equal_sizes: bool, n: int) -> tuple[list, in
 
 class ScanRow(NamedTuple):
     ring: Ring
-    larger: Callable[[Ring, tuple, object], tuple]  # (ring, parts, cache) -> (factors, side)
+    larger: Callable[[tuple], tuple]  # parts -> the factors of the larger side
     payloads: Callable[[int, bool, int], tuple]  # the enumerator a scan takes its payloads from
     pairs: bool = True  # payloads are (lam, mu) pairs; else n-tuples, n set per scan
 
@@ -247,21 +245,22 @@ def _scan_row(conjecture: str) -> ScanRow:
 
 
 def check_payload(name: str, payload, *, cache=None) -> ViolationReport:
-    """Report the targets at which a row's larger side falls below the product
-    of the payload: a (lam, mu) pair, or the parts of an n-tuple row. The
-    larger side is computed first, which fixes the order of cache appends."""
+    """Report the targets at which the product of a row's larger-side factors
+    falls below the payload's: a (lam, mu) pair, or the parts of an n-tuple
+    row. The larger side goes first, which fixes the order of cache appends."""
     row = _scan_row(name)
     ring = row.ring
     start = time.monotonic()
+    label = name.replace("_", "-")
     parts = tuple(map(tuple, payload))
     if not parts:
         raise ValueError("need at least one partition")
     sizes = [sum(p) for p in parts]
     if ring.same_size and len(set(sizes)) > 1:
         raise SizeMismatch(f"sizes differ: {sizes[0]} vs {sizes[1]}")
-    factors, bigger = row.larger(ring, parts, cache)
+    factors = row.larger(parts)
+    bigger = ring.multiply(factors, cache)
     smaller = ring.multiply(parts, cache)
-    label = name.replace("_", "-")
     if row.pairs:
         lam_text, mu_text = map(format_partition, parts)
         subject = f"{label} lambda={lam_text} mu={mu_text}"
