@@ -98,6 +98,7 @@ from .errors import InvariantViolation, SizeMismatch
 from .partitions import (
     Partition,
     canonical_key,
+    check_partitions,
     conjugate,
     dvir_inequalities,
     murnaghan_inequalities,
@@ -195,12 +196,6 @@ def _class_sum(support, weights, nu: Partition, n: int) -> int:
     return _multiplicity(total, nu, n)
 
 
-def _check_partitions(*ps: Partition) -> None:
-    """Raise ValueError unless every argument is a partition (conjugate checks)."""
-    for p in ps:
-        conjugate(tuple(p))
-
-
 def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Multiplicity of nu in the symmetric group tensor product lam (x) mu.
 
@@ -254,7 +249,7 @@ def _packed_table(n: int) -> _PackedTable:
 def tensor_decompose(lam: Partition, mu: Partition) -> dict[Partition, int]:
     """Full decomposition of the S_n tensor product lam (x) mu as {nu: multiplicity},
     nonzero entries only, from one packed class sum (module docstring)."""
-    _check_partitions(lam, mu)
+    check_partitions(lam, mu)
     n = sum(lam)
     if sum(mu) != n:
         raise SizeMismatch(f"sizes differ: {sum(lam)} vs {sum(mu)}")
@@ -299,7 +294,7 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     row first) so row weakness, column strictness, and the lattice property
     of the reading word can all prune each placement.
     """
-    _check_partitions(lam, mu, nu)
+    check_partitions(lam, mu, nu)
     if sum(nu) != sum(lam) + sum(mu):
         return 0
     if not _contains(nu, lam) or not _contains(nu, mu):
@@ -348,7 +343,7 @@ def lr_expand(lam: Partition, mu: Partition) -> dict[Partition, int]:
     min(len(lam), len(mu), lam1, mu1).
     """
     lam, mu = tuple(lam), tuple(mu)
-    _check_partitions(lam, mu)
+    check_partitions(lam, mu)
     flip = min(part(lam, 1), part(mu, 1)) < min(len(lam), len(mu))
     if flip:
         lam, mu = conjugate(lam), conjugate(mu)
@@ -404,7 +399,7 @@ def _lr_square(p: Partition) -> dict[Partition, int]:
 
 def stabilization_start(lam: Partition, mu: Partition, nu: Partition) -> int:
     """First padded size d of the stable range, by the Briand-Orellana-Rosas bound."""
-    _check_partitions(lam, mu, nu)
+    check_partitions(lam, mu, nu)
     return max(
         sum(lam) + part(lam, 1),
         sum(mu) + part(mu, 1),
@@ -431,7 +426,7 @@ def reduced_kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
     documented in the module docstring.
     """
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    _check_partitions(lam, mu, nu)
+    check_partitions(lam, mu, nu)
     if not murnaghan_inequalities(lam, mu, nu):
         return 0
     key = ((lam, mu) if lam <= mu else (mu, lam), nu)
@@ -479,7 +474,7 @@ def reduced_tensor_decompose(lam: Partition, mu: Partition, *, cache=None) -> di
     reads and writes nothing.
     """
     lam, mu = tuple(lam), tuple(mu)
-    _check_partitions(lam, mu)
+    check_partitions(lam, mu)
     pair = (lam, mu) if lam <= mu else (mu, lam)
     coeffs = _STABLE_PRODUCTS.get(pair)
     if coeffs is None and cache is not None:
@@ -535,7 +530,7 @@ class CompareResult(NamedTuple):
 def stable_ring_compare(a: dict, b: dict) -> CompareResult:
     """Compare two {class: coefficient} dicts coefficientwise; every class
     must be a partition."""
-    _check_partitions(*a, *b)
+    check_partitions(*a, *b)
     diff = dict(a)
     for p, c in b.items():
         diff[p] = diff.get(p, 0) - c

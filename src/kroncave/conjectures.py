@@ -253,6 +253,8 @@ def check_payload(name: str, payload, *, cache=None) -> ViolationReport:
     start = time.monotonic()
     label = name.replace("_", "-")
     parts = tuple(map(tuple, payload))
+    if row.pairs and len(parts) != 2:
+        raise ValueError(f"{label} checks a pair of partitions, got {len(parts)}")
     if not parts:
         raise ValueError("need at least one partition")
     sizes = [sum(p) for p in parts]

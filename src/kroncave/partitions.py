@@ -54,12 +54,20 @@ def conjugate(p: Partition) -> Partition:
     return tuple(sum(1 for x in p if x >= i) for i in range(1, p[0] + 1))
 
 
+def check_partitions(*ps: Partition) -> None:
+    """Raise ValueError unless every argument is a partition (conjugate checks)."""
+    for p in ps:
+        conjugate(tuple(p))
+
+
 def midpoint(lam: Partition, mu: Partition, mode: str = "exact") -> Partition:
     """Componentwise average, with the shorter partition extended by zeros.
 
     mode "exact" requires every componentwise sum to be even and raises
-    NotIntegral otherwise; "ceil"/"floor" round componentwise.
+    NotIntegral otherwise; "ceil"/"floor" round componentwise. Raises
+    ValueError unless both arguments are partitions.
     """
+    check_partitions(lam, mu)
     n = max(len(lam), len(mu))
     sums = [part(lam, i) + part(mu, i) for i in range(1, n + 1)]
     if mode == "exact":
@@ -78,6 +86,7 @@ def midpoint(lam: Partition, mu: Partition, mode: str = "exact") -> Partition:
 
 def union_parts(lam: Partition, mu: Partition) -> Partition:
     """All parts of both partitions, rearranged weakly decreasing."""
+    check_partitions(lam, mu)
     return tuple(sorted(lam + mu, reverse=True))
 
 
@@ -85,6 +94,7 @@ def interleave_split(lam: Partition, n: int) -> list[Partition]:
     """Split into n partitions taking every n-th part, offset by 0..n-1."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_partitions(lam)
     return [lam[i::n] for i in range(n)]
 
 
