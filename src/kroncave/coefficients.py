@@ -276,8 +276,9 @@ def tensor_decompose(lam: Partition, mu: Partition) -> dict[Partition, int]:
 
 @lru_cache(maxsize=None)
 def _tensor_square(p: Partition) -> dict[Partition, int]:
-    """Coefficient dict of p (x) p, expanded once per clear_caches(): many
-    pairs of a fixed-size scan share one midpoint. Callers only read it."""
+    """Coefficient dict of p (x) p, expanded once per clear_caches(): a
+    fixed-size scan multiplies every diagonal pair (p, p) through here, and
+    many of its pairs share the midpoint p. Callers only read it."""
     return tensor_decompose(p, p)
 
 
@@ -393,7 +394,8 @@ def _lr_walk(lam: Partition, mu: Partition) -> dict[Partition, int]:
 
 @lru_cache(maxsize=None)
 def _lr_square(p: Partition) -> dict[Partition, int]:
-    """lr_expand(p, p), expanded once per clear_caches(), as _tensor_square."""
+    """lr_expand(p, p), expanded once per clear_caches() for every diagonal
+    pair of a scan, as _tensor_square."""
     return lr_expand(p, p)
 
 
