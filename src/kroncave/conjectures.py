@@ -17,7 +17,11 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .closed_forms import reduced_hook, reduced_two_row
 from .coefficients import (
+    _STABLE_PRODUCTS,
     _lr_square,
+    _padded_share,
+    _pair_key,
+    _settle_shares,
     _tensor_square,
     kronecker,
     lr_coefficient,
@@ -347,19 +351,39 @@ def check_murnaghan_littlewood(budget: int) -> ViolationReport:
 # -- scans ------------------------------------------------------------------
 
 
-_WORKER_CACHE = None
-
-
-def _worker_init(cache) -> None:
-    global _WORKER_CACHE
-    _WORKER_CACHE = cache
-
-
 def _worker_task(task):
-    """Pool entry point: the violations of one payload, checked against this
-    worker's cache view, and the cache records the check left in it."""
-    violations = check_payload(*task, cache=_WORKER_CACHE).violations
-    return violations, (() if _WORKER_CACHE is None else _WORKER_CACHE.drain())
+    """Pool entry point of a fixed-size row: the violations of one payload."""
+    return check_payload(*task).violations
+
+
+def _settle_by_size(payloads, larger, cache, workers: int) -> None:
+    """Settle in a pool every reduced value below the top degree of the
+    stable products a stable row's checks start with: those of the first two
+    larger-side factors and of the first two parts of each payload (an
+    n-tuple row multiplies its later factors in after those; one factor
+    alone is multiplied by nothing). Pairs the memo or the cache already
+    holds are left out, and no pool starts when none is.
+
+    Worker w evaluates the padded values at the sizes n = w mod workers
+    (coefficients._padded_share), so each S_n's character rows are filled in
+    one process; this one checks and memoizes them (_settle_shares)."""
+    firsts = dict.fromkeys(
+        _pair_key(*side[:2])
+        for parts in payloads
+        for side in (larger(parts), parts)
+        if len(side) > 1
+    )
+    pairs = [
+        pair for pair in firsts
+        if pair not in _STABLE_PRODUCTS and (cache is None or cache.get(*pair) is None)
+    ]
+    if not pairs:
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        shares = list(pool.map(partial(_padded_share, pairs, workers), range(workers)))
+    _settle_shares(pairs, shares)
 
 
 def scan(
@@ -376,11 +400,15 @@ def scan(
     midpoint row dispatches only the pairs whose componentwise sums are all
     even, and a dispatched pair that raises is an error. Up to
     min(jobs, dispatched payloads, CPUs) workers run in parallel, and none
-    when that is 1; the merge is a fold in enumeration order, so reports do
-    not depend on the schedule. A serial scan passes the cache (stable rows
-    only) to each check, which appends each product as it is computed. Pool
-    workers check against a view of it (CoefficientCache.view), and the
-    parent puts the records each task returns, in task order.
+    when that is 1.
+
+    A fixed-size row maps its payloads over the pool in chunks and merges
+    the violations in enumeration order. A stable row's pool settles the
+    padded values of the products its checks start with, split by
+    symmetric-group size (_settle_by_size). Then, as with one worker, this
+    process checks each payload in enumeration order. It alone reads and
+    writes the cache, appending each product as it is computed, so reports
+    and cache files do not depend on the job count.
     """
     row = _scan_row(conjecture)
     if max_boxes < 0:
@@ -401,22 +429,19 @@ def scan(
     if not row.stable:
         cache = None
     violations: list[Violation] = []
-    if workers <= 1:
-        for payload in payloads:
-            violations.extend(check_payload(name, payload, cache=cache).violations)
-    else:
+    if workers > 1 and not row.stable:
         from concurrent.futures import ProcessPoolExecutor
 
-        view = None if cache is None else cache.view()
         tasks = ((name, payload) for payload in payloads)
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(view,)
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(payloads) // (workers * 8))
-            for found, records in pool.map(_worker_task, tasks, chunksize=chunk):
+            for found in pool.map(_worker_task, tasks, chunksize=chunk):
                 violations.extend(found)
-                for pair, product in records:
-                    cache.put(*pair, product)
+    else:
+        if workers > 1:
+            _settle_by_size(payloads, row.larger, cache, workers)
+        for payload in payloads:
+            violations.extend(check_payload(name, payload, cache=cache).violations)
     return ViolationReport(subject, len(payloads), skipped, violations, _elapsed_ms(start))
 
 

@@ -205,33 +205,6 @@ class CoefficientCache:
         except OSError as exc:
             raise StoreIOError(f"cannot append to cache {self.path}: {exc}") from exc
 
-    def view(self) -> "RecordingCache":
-        """A RecordingCache on this file that starts from this cache's records,
-        so a scan's workers inherit the parsed file instead of parsing it."""
-        view = RecordingCache(self.path)
-        view._index = dict(self._load())
-        view._conflicts = set(self._conflicts)
-        return view
-
     def __len__(self):
         return len(self._load())
 
-
-class RecordingCache(CoefficientCache):
-    """Cache view for scans: reads the shared file, buffers its writes.
-
-    A view never writes the file. Each scan worker checks its payloads
-    against a view (CoefficientCache.view) and returns the drained
-    ((lam, mu), product) pairs, which the parent puts into the real cache.
-    """
-
-    def __init__(self, path: str):
-        super().__init__(path)
-        self.buffer: list[tuple] = []
-
-    def _write(self, key, product: dict):
-        self.buffer.append((key, product))
-
-    def drain(self) -> list[tuple]:
-        out, self.buffer = self.buffer, []
-        return out

@@ -816,6 +816,36 @@ class TestInvariantChecks:
             "InvariantViolation: negative multiplicity -1 for (2, 1) in S_3",
         ]
 
+    def test_completed_row_is_checked_under_optimize_flag(self):
+        """A row is checked against sum_rho |C_rho| chi(rho)^2 = n! when it is
+        completed: one wrong value raises, and the row is not stored complete.
+        chi_(2,1) is (-1, 0, 2) on the classes (3), (2,1), (1,1,1)."""
+        code = (
+            "from kroncave import coefficients\n"
+            "from kroncave.errors import InvariantViolation\n"
+            "if __debug__:\n"
+            "    raise SystemExit('not running under -O')\n"
+            "row = coefficients._full_row((2, 1))\n"
+            "print(row)\n"
+            "coefficients._ROWS[(2, 1)] = [3, None, None]\n"
+            "try:\n"
+            "    coefficients._full_row((2, 1))\n"
+            "except InvariantViolation as exc:\n"
+            "    print('InvariantViolation:', exc)\n"
+            "print(coefficients._ROWS[(2, 1)])\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kroncave.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "(-1, 0, 2)",
+            "InvariantViolation: character row of (2, 1) fails orthogonality in S_3",
+            "[3, 0, 2]",
+        ]
+
     def test_stale_packed_table_is_rebuilt_under_optimize_flag(self):
         """A row replaced after the S_3 table was packed is read, not the old one."""
         code = (

@@ -18,7 +18,7 @@ from kroncave.conjectures import (
     run_golden_suite,
     scan,
 )
-from kroncave.errors import KroncaveError, NotIntegral, SizeMismatch
+from kroncave.errors import InvariantViolation, KroncaveError, NotIntegral, SizeMismatch
 from kroncave.partitions import (
     midpoint,
     murnaghan_inequalities,
@@ -30,6 +30,39 @@ from kroncave.partitions import (
 from kroncave.store import ENGINE_VERSION, CoefficientCache, parse_partition_text
 
 from oracles import jacobi_trudi_kronecker
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """ProcessPoolExecutor replaced by a class that runs each task in this
+    process, in order. Its asked lists the worker count of each pool started,
+    and task is the task running, None outside one."""
+
+    class InProcessPool:
+        asked: list = []
+        task = None
+
+        def __init__(self, max_workers):
+            InProcessPool.asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            for task in tasks:
+                InProcessPool.task = task
+                try:
+                    result = fn(task)
+                finally:
+                    InProcessPool.task = None
+                yield result
+
+    # scan imports the pool class when it starts one, so patch its home.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    return InProcessPool
 
 
 def has_exact_midpoint(lam, mu):
@@ -313,30 +346,13 @@ class TestScan:
         assert sequential.canonical_json() == parallel.canonical_json()
         assert not sequential.passed
 
-    def test_pool_is_capped_by_tasks_and_cpus(self, monkeypatch):
+    def test_pool_is_capped_by_tasks_and_cpus(self, monkeypatch, in_process_pool):
         """Workers = min(jobs, tasks, CPUs), and no pool at all when that is 1.
 
         Tasks are the dispatched pairs: the parent never sends a pair without
         an exact midpoint to the pool."""
-        asked = []
-
-        class InProcessPool:
-            def __init__(self, max_workers, initializer, initargs):
-                asked.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        # scan imports the pool class when it starts one, so patch its home.
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(conjectures, "_WORKER_CACHE", None)
+        asked = in_process_pool.asked
+        clear_caches()
         report = scan("midpoint_reduced", 4)
         expected = report.canonical_json()
         tasks = report.pairs_scanned
@@ -345,8 +361,76 @@ class TestScan:
         for cpus, jobs, workers in cases:
             monkeypatch.setattr(conjectures.os, "cpu_count", lambda cpus=cpus: cpus)
             asked.clear()
+            clear_caches()
             assert scan("midpoint_reduced", 4, jobs=jobs).canonical_json() == expected
             assert asked == workers, (cpus, jobs)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("name, max_boxes", [("midpoint_reduced", 6), ("sort", 5)])
+    def test_pool_splits_padded_evaluations_by_size(
+        self, monkeypatch, in_process_pool, name, max_boxes, workers
+    ):
+        """Across the workers, each padded triple a serial scan evaluates is
+        evaluated once, worker w only at sizes n = w mod k, and the parent
+        evaluates none, neither before the pool nor after it."""
+        original = coefficients.kronecker
+        calls = []
+
+        def recorded(lam, mu, nu):
+            calls.append((in_process_pool.task, tuple(sorted((lam, mu))), nu))
+            return original(lam, mu, nu)
+
+        monkeypatch.setattr(coefficients, "kronecker", recorded)
+        monkeypatch.setattr(conjectures.os, "cpu_count", lambda: workers)
+        clear_caches()
+        serial = scan(name, max_boxes)
+        expected = Counter((pair, nu) for _, pair, nu in calls)
+        assert expected and max(expected.values()) == 1
+        calls.clear()
+        clear_caches()
+        assert scan(name, max_boxes, jobs=workers).canonical_json() == serial.canonical_json()
+        assert in_process_pool.asked == [workers]
+        assert Counter((pair, nu) for _, pair, nu in calls) == expected
+        assert {(w, sum(nu) % workers) for w, _, nu in calls} == {(w, w) for w in range(workers)}
+
+    def test_a_worker_value_that_moves_at_the_next_size_raises(self, monkeypatch, in_process_pool):
+        share = conjectures._padded_share
+
+        def drifting(pairs, workers, w):
+            values = share(pairs, workers, w)
+            values[-1] += w
+            return values
+
+        monkeypatch.setattr(conjectures, "_padded_share", drifting)
+        monkeypatch.setattr(conjectures.os, "cpu_count", lambda: 2)
+        clear_caches()
+        with pytest.raises(InvariantViolation, match="moved past the stable bound"):
+            scan("midpoint_reduced", 6, jobs=2)
+
+    def test_warm_scan_starts_no_pool(self, tmp_path, monkeypatch, in_process_pool):
+        """No pool starts when the memo, or a loaded cache, holds every pair."""
+        monkeypatch.setattr(conjectures.os, "cpu_count", lambda: 2)
+        path = tmp_path / "values.jsonl"
+        clear_caches()
+        cold = scan("midpoint_reduced", 6, cache=CoefficientCache(str(path))).canonical_json()
+        assert scan("midpoint_reduced", 6, jobs=2).canonical_json() == cold
+        clear_caches()
+        warm = scan("midpoint_reduced", 6, jobs=2, cache=CoefficientCache(str(path)))
+        assert warm.canonical_json() == cold
+        assert in_process_pool.asked == []
+
+    @pytest.mark.parametrize("n, violating", [(3, True), (1, False)])
+    def test_chain_matches_across_job_counts(self, monkeypatch, n, violating):
+        """An n-tuple row pools its first two factors only; the parent
+        multiplies the later ones in, to the same report. With one part
+        there is no product to pool."""
+        monkeypatch.setattr(conjectures.os, "cpu_count", lambda: 2)
+        clear_caches()
+        sequential = scan("chain", 5, jobs=1, chain_n=n)
+        clear_caches()
+        parallel = scan("chain", 5, jobs=2, chain_n=n)
+        assert sequential.canonical_json() == parallel.canonical_json()
+        assert sequential.passed is not violating
 
     def test_parent_alone_decides_skips(self, monkeypatch):
         """A pair the row's enumerator admits is checked; a NotIntegral is an error."""
@@ -406,22 +490,16 @@ class TestScan:
         assert warm.canonical_json() == report.canonical_json()
         assert opens == ["r"]
 
-    def test_serial_scan_takes_no_cache_view(self, tmp_path, monkeypatch):
-        """A serial scan passes its cache straight to each check: with
-        CoefficientCache.view raising, it writes the same file as before."""
-        clear_caches()
-        expected = tmp_path / "expected.jsonl"
-        report = scan("midpoint_reduced", 6, cache=CoefficientCache(str(expected)))
-
-        def no_view(cache):
-            raise AssertionError("a serial scan asked for a cache view")
-
-        monkeypatch.setattr(CoefficientCache, "view", no_view)
-        clear_caches()
-        path = tmp_path / "values.jsonl"
-        again = scan("midpoint_reduced", 6, cache=CoefficientCache(str(path)))
-        assert again.canonical_json() == report.canonical_json()
-        assert path.read_bytes() == expected.read_bytes()
+    def test_cold_cache_file_is_the_same_at_both_job_counts(self, tmp_path, monkeypatch):
+        """The parent is the only writer of the cache, in serial order, so a
+        pooled scan writes the same bytes as a serial one."""
+        monkeypatch.setattr(conjectures.os, "cpu_count", lambda: 2)
+        files = []
+        for jobs in (1, 2):
+            clear_caches()
+            files.append(tmp_path / f"jobs{jobs}.jsonl")
+            scan("midpoint_reduced", 6, jobs=jobs, cache=CoefficientCache(str(files[-1])))
+        assert files[0].read_bytes() and files[0].read_bytes() == files[1].read_bytes()
 
     def test_raising_serial_scan_keeps_what_it_computed(self, tmp_path, monkeypatch):
         """A scan whose check raises keeps the records of the payloads before it,

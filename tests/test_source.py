@@ -118,6 +118,7 @@ sequential = scan("midpoint-reduced", 4).canonical_json()
 assert check_payload("schur_lr", ((2,), (2,))).passed
 print(sorted(m for m in ("concurrent.futures.process", "multiprocessing", "dataclasses",
                          "inspect") if m in sys.modules))
+kroncave.clear_caches()  # a warm memo would start no pool
 print(scan("midpoint-reduced", 4, jobs=2).canonical_json() == sequential)
 """
 
@@ -213,16 +214,16 @@ def test_every_larger_side_is_a_rule_on_the_parts():
 
 
 # The only functions that read or write a persistent cache: the engine's
-# stable product, and the scan that puts its pool workers' records.
+# stable product, and the pooled scan's look-up of the pairs it holds.
 CACHE_CALLERS = {
     ("coefficients.py", "reduced_tensor_decompose"),
-    ("conjectures.py", "scan"),
+    ("conjectures.py", "_settle_by_size"),
 }
 
 
 def cache_calls(tree):
     """(enclosing function, line) of each get/put call on a name that holds
-    a cache: one spelled with "cache", or a scan's view."""
+    a cache, one spelled with "cache"."""
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -232,7 +233,7 @@ def cache_calls(tree):
             and isinstance(node.func, ast.Attribute)
             and node.func.attr in ("get", "put")
             and isinstance(node.func.value, ast.Name)
-            and ("cache" in node.func.value.id.lower() or node.func.value.id == "view")
+            and "cache" in node.func.value.id.lower()
         ):
             yield function, node.lineno
         for child in ast.iter_child_nodes(node):
@@ -244,6 +245,47 @@ def cache_calls(tree):
 def test_only_the_stable_product_and_the_scan_touch_a_cache():
     found = {(name, function) for name, tree in package_trees() for function, _ in cache_calls(tree)}
     assert found == CACHE_CALLERS
+
+
+def names_the_next_size(node):
+    """d + 1: the padded size one past a stabilization start d."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Add)
+        and isinstance(node.left, ast.Name)
+        and node.left.id == "d"
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 1
+    )
+
+
+def raises_on_a_mismatch(node):
+    """An if on an == or != comparison whose body raises InvariantViolation."""
+    return (
+        isinstance(node, ast.If)
+        and isinstance(node.test, ast.Compare)
+        and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.test.ops)
+        and any(
+            isinstance(child, ast.Raise) and "InvariantViolation" in ast.unparse(child)
+            for statement in node.body
+            for child in ast.walk(statement)
+        )
+    )
+
+
+def test_one_function_compares_the_values_at_d_and_d_plus_1():
+    """Every reduced value is settled by one rule, whether the padded values
+    came from reduced_kronecker or from a scan's pool: a function that names
+    the size d + 1 and raises on a mismatch is that rule, and there is one."""
+    found = [
+        f"{name}:{node.name}"
+        for name, tree in package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(map(names_the_next_size, ast.walk(node)))
+        and any(map(raises_on_a_mismatch, ast.walk(node)))
+    ]
+    assert found == ["coefficients.py:_stable_value"]
 
 
 def test_single_triple_functions_take_no_cache():

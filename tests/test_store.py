@@ -11,7 +11,6 @@ from kroncave.partitions import pad, partitions_up_to, syt_count
 from kroncave.store import (
     CoefficientCache,
     ENGINE_VERSION,
-    RecordingCache,
     format_partition,
     parse_partition_text,
 )
@@ -179,21 +178,6 @@ class TestCoefficientCache:
         assert len(path.read_text().strip().splitlines()) == 1
 
 
-class TestRecordingCache:
-    def test_buffers_instead_of_writing(self, tmp_path):
-        path = tmp_path / "c.jsonl"
-        rec = RecordingCache(str(path))
-        rec.put((2,), (1,), parsed(PRODUCT_2_1))
-        assert not path.exists()
-        drained = rec.drain()
-        assert drained == [(((1,), (2,)), parsed(PRODUCT_2_1))] and rec.drain() == []
-        # the parent replays the drained writes into the real store
-        cache = CoefficientCache(str(path))
-        for key, product in drained:
-            cache.put(*key, product)
-        assert CoefficientCache(str(path)).get((1,), (2,)) == parsed(PRODUCT_2_1)
-
-
 class TestPutMany:
     """Many records put one by one onto a planted file."""
 
@@ -239,17 +223,6 @@ class TestPutMany:
         for pair, product in self.RECORDS:
             cache.put(*pair, product)
         assert opens == []
-
-    def test_view_starts_from_the_loaded_records(self, tmp_path):
-        path = tmp_path / "c.jsonl"
-        cache = self._planted(path)
-        view = cache.view()
-        assert view.get((1,), (1,)) == parsed(PRODUCT_1_1)
-        assert view.get((1,), (2,)) is None  # the conflict stays a miss
-        view.put((1,), (1,), parsed(PRODUCT_1_1))
-        view.put((1,), (), {(1,): 1})
-        assert view.drain() == [(((), (1,)), {(1,): 1})]
-        assert len(path.read_text().splitlines()) == len(self.PLANTED)  # the view wrote nothing
 
 
 class TestCacheAgainstEngine:
