@@ -108,6 +108,7 @@ from .partitions import (
     murnaghan_inequalities,
     pad,
     padded_syt_count,
+    pair_key,
     part,
     partitions_of,
 )
@@ -117,12 +118,12 @@ from .partitions import (
 _ROWS: dict = {}
 # n -> _PackedTable of S_n (module docstring), packed from complete rows of _ROWS.
 _PACKED: dict = {}
-# (lam, mu) -> (support, weights): the class indices where chi_lam * chi_mu
-# != 0, ascending, and class size * chi_lam * chi_mu at each of them.
+# pair_key(lam, mu) -> (support, weights): the class indices where
+# chi_lam * chi_mu != 0, ascending, and class size * chi_lam * chi_mu at each.
 _PAIR_WEIGHTS: dict = {}
-# (pair key, nu) -> stable value
+# (pair_key(lam, mu), nu) -> stable value
 _REDUCED_MEMO: dict = {}
-# pair key -> stable product {nu: coefficient}; callers get a copy, never this dict
+# pair_key(lam, mu) -> stable product {nu: coefficient}; callers get a copy, never this dict
 _STABLE_PRODUCTS: dict = {}
 
 
@@ -175,7 +176,7 @@ def _row_on(nu: Partition, support) -> list | tuple:
 
 
 def _pair_weights(lam: Partition, mu: Partition):
-    key = (lam, mu) if lam <= mu else (mu, lam)
+    key = pair_key(lam, mu)
     hit = _PAIR_WEIGHTS.get(key)
     if hit is not None:
         return hit
@@ -432,11 +433,6 @@ def kronecker_sequence(
     return [kronecker(pad(lam, d), pad(mu, d), pad(nu, d)) for d in d_values]
 
 
-def _pair_key(lam: Partition, mu: Partition) -> tuple:
-    """A pair as _REDUCED_MEMO and _STABLE_PRODUCTS key it: [lam]*[mu] = [mu]*[lam]."""
-    return (lam, mu) if lam <= mu else (mu, lam)
-
-
 def _stable_value(
     lam: Partition, mu: Partition, nu: Partition, d: int, value: int, next_value: int
 ) -> int:
@@ -448,7 +444,7 @@ def _stable_value(
             f"padded sequence for {lam},{mu},{nu} moved past the stable bound: "
             f"{value} at d={d}, {next_value} at d={d + 1}"
         )
-    _REDUCED_MEMO[(_pair_key(lam, mu), nu)] = value
+    _REDUCED_MEMO[(pair_key(lam, mu), nu)] = value
     return value
 
 
@@ -463,7 +459,7 @@ def reduced_kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
     check_partitions(lam, mu, nu)
     if not murnaghan_inequalities(lam, mu, nu):
         return 0
-    hit = _REDUCED_MEMO.get((_pair_key(lam, mu), nu))
+    hit = _REDUCED_MEMO.get((pair_key(lam, mu), nu))
     if hit is not None:
         return hit
     d = stabilization_start(lam, mu, nu)
@@ -538,11 +534,12 @@ def reduced_tensor_decompose(lam: Partition, mu: Partition, *, cache=None) -> di
     InvariantViolation is raised. A persistent cache (kroncave.store) may be
     supplied. A product missing from the in-process memo is read from it,
     and one computed while it is attached is written to it; a memo hit
-    reads and writes nothing.
+    reads and writes nothing. Memo and cache both key a product by
+    partitions.pair_key, so [lam]*[mu] and [mu]*[lam] are one entry.
     """
     lam, mu = tuple(lam), tuple(mu)
     check_partitions(lam, mu)
-    pair = _pair_key(lam, mu)
+    pair = pair_key(lam, mu)
     coeffs = _STABLE_PRODUCTS.get(pair)
     if coeffs is None and cache is not None:
         coeffs = cache.get(lam, mu)

@@ -20,7 +20,6 @@ from .coefficients import (
     _STABLE_PRODUCTS,
     _lr_square,
     _padded_share,
-    _pair_key,
     _settle_shares,
     _tensor_square,
     kronecker,
@@ -38,6 +37,7 @@ from .partitions import (
     interleave_split,
     midpoint,
     padded_syt_count,
+    pair_key,
     partitions_of,
     partitions_up_to,
     union_parts,
@@ -137,18 +137,6 @@ def _interleaved(parts: tuple) -> tuple:
 # row, is read by that row only.
 
 
-def _pairs_with_total(max_boxes: int, equal_sizes: bool = False) -> Iterator[tuple]:
-    """Unordered pairs with |lam| + |mu| <= max_boxes, canonical order."""
-    for total in range(max_boxes + 1):
-        for a in range(total + 1):
-            if equal_sizes and 2 * a != total:
-                continue
-            for lam in sorted(partitions_of(a)):
-                for mu in sorted(partitions_of(total - a)):
-                    if canonical_key(lam) <= canonical_key(mu):
-                        yield lam, mu
-
-
 def _multisets_with_total(max_boxes: int, n: int) -> Iterator[tuple]:
     """Multisets of n partitions with total size <= max_boxes, canonical order.
 
@@ -171,10 +159,6 @@ def _multisets_with_total(max_boxes: int, n: int) -> Iterator[tuple]:
         yield from rec(0, max_boxes, ((),) * empties)
 
 
-def _all_pairs(max_boxes: int, equal_sizes: bool, n: int) -> tuple[list, int]:
-    return list(_pairs_with_total(max_boxes, equal_sizes)), 0
-
-
 def _all_multisets(max_boxes: int, equal_sizes: bool, n: int) -> tuple[list, int]:
     return list(_multisets_with_total(max_boxes, n)), 0
 
@@ -186,16 +170,20 @@ def _parity_signature(p: Partition) -> tuple[int, ...]:
     return tuple(i for i, x in enumerate(p) if x % 2)
 
 
-def _midpoint_pairs(max_boxes: int, equal_sizes: bool, n: int) -> tuple[list, int]:
-    """The pairs of _pairs_with_total that have an exact midpoint, in its
-    order. Each size's partitions are bucketed by parity signature, so only
-    those pairs are built; the candidates are counted, p(a) p(b) of sizes
-    a < b and p(a)(p(a) + 1)/2 of sizes a = b."""
+def _pairs(
+    max_boxes: int, equal_sizes: bool, n: int, signature=lambda p: None
+) -> tuple[list, int]:
+    """Unordered pairs with |lam| + |mu| <= max_boxes and equal signatures,
+    each in pair_key order, all in canonical order; with equal_sizes, only
+    pairs of one size. Each size is bucketed by signature, so only kept
+    pairs are built; the other candidates, p(a) p(b) of sizes a < b and
+    p(a)(p(a) + 1)/2 of sizes a = b, are counted as skipped. The default
+    signature is constant: every pair is kept, none skipped."""
     buckets = []  # sizes up to the largest second size
     for size in range(max_boxes // 2 + 1 if equal_sizes else max_boxes + 1):
         bucket: dict = {}
         for p in sorted(partitions_of(size)):
-            bucket.setdefault(_parity_signature(p), []).append(p)
+            bucket.setdefault(signature(p), []).append(p)
         buckets.append(bucket)
     pairs: list = []
     candidates = 0
@@ -207,9 +195,12 @@ def _midpoint_pairs(max_boxes: int, equal_sizes: bool, n: int) -> tuple[list, in
             count = len(partitions_of(a))
             candidates += count * (count + 1) // 2 if a == b else count * len(partitions_of(b))
             for lam in sorted(partitions_of(a)):
-                mates = buckets[b].get(_parity_signature(lam), ())
+                mates = buckets[b].get(signature(lam), ())
                 pairs += [(lam, mu) for mu in mates if a < b or lam <= mu]
     return pairs, candidates - len(pairs)
+
+
+_midpoint_pairs = partial(_pairs, signature=_parity_signature)
 
 
 class ScanRow(NamedTuple):
@@ -234,7 +225,7 @@ class ScanRow(NamedTuple):
 SCANS = {
     "midpoint_reduced": ScanRow(_STABLE, _midpoint_squared, _midpoint_pairs),
     "midpoint_kronecker": ScanRow(_SYMMETRIC, _midpoint_squared, _midpoint_pairs),
-    "sort": ScanRow(_STABLE, _interleaved, _all_pairs),
+    "sort": ScanRow(_STABLE, _interleaved, _pairs),
     "chain": ScanRow(_STABLE, _interleaved, _all_multisets, pairs=False),
     "schur_lr": ScanRow(_SCHUR, _midpoint_squared, _midpoint_pairs),
 }
@@ -331,7 +322,7 @@ def check_murnaghan_littlewood(budget: int) -> ViolationReport:
     start = time.monotonic()
     scanned = 0
     violations = []
-    for lam, mu in _pairs_with_total(budget):
+    for lam, mu in _pairs(budget, False, 2)[0]:
         product = lr_expand(lam, mu)
         for nu in sorted(partitions_of(sum(lam) + sum(mu))):
             reduced = reduced_kronecker(lam, mu, nu)
@@ -368,7 +359,7 @@ def _settle_by_size(payloads, larger, cache, workers: int) -> None:
     (coefficients._padded_share), so each S_n's character rows are filled in
     one process; this one checks and memoizes them (_settle_shares)."""
     firsts = dict.fromkeys(
-        _pair_key(*side[:2])
+        pair_key(*side[:2])
         for parts in payloads
         for side in (larger(parts), parts)
         if len(side) > 1

@@ -28,6 +28,15 @@ def canonical_key(p: Partition) -> tuple[int, Partition]:
     return (sum(p), p)
 
 
+def pair_key(lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
+    """An unordered pair as tuples in canonical order, smaller size first and
+    tuple order within a size: the one key of a symmetric product, in memos
+    and in cache records alike."""
+    lam, mu = tuple(lam), tuple(mu)
+    a, b = sum(lam), sum(mu)
+    return (mu, lam) if a > b or (a == b and mu < lam) else (lam, mu)
+
+
 def pad(p: Partition, d: int) -> Partition:
     """Prepend a long first row so the result is a partition of d.
 

@@ -3,12 +3,14 @@
 The text form is the cross-surface contract: comma-separated weakly
 decreasing positive integers, "-" for the empty partition. The cache holds
 whole stable products [lam]*[mu] only, one JSON object per line with kind
-"redtensor": the pair in canonical_key order and its nonzero reduced
-Kronecker coefficients as {nu text: decimal string}, nu in canonical_key
-order. Appends are crash-safe and files from different machines can be
-concatenated; coefficients are decimal strings so any JSON reader reparses
-them exactly. A line of any other kind (older files hold per-triple
-"redkron", "kron" and "lr" lines) is a corrupt line: skipped with a warning.
+"redtensor": the pair as partitions.pair_key orders it (smaller size first,
+then tuple order) and its nonzero reduced Kronecker coefficients as
+{nu text: decimal string}, nu in canonical_key order. The index is keyed by
+pair_key too, so a record answers its pair in either order. Appends are
+crash-safe and files from different machines can be concatenated;
+coefficients are decimal strings so any JSON reader reparses them exactly.
+A line of any other kind (older files hold per-triple "redkron", "kron" and
+"lr" lines) is a corrupt line: skipped with a warning.
 
 Every record is checked when the file is loaded, against the dimension
 identity that the engine also checks on each product it computes
@@ -29,7 +31,7 @@ import logging
 
 from .coefficients import check_dimension_identity
 from .errors import PartitionParseError, StoreIOError
-from .partitions import Partition, canonical_key
+from .partitions import Partition, canonical_key, pair_key
 
 try:
     import fcntl
@@ -69,12 +71,6 @@ def parse_partition_text(s: str) -> Partition:
     return tuple(parts)
 
 
-def _canonical_pair(lam: Partition, mu: Partition):
-    # a stable product is symmetric under swapping lam and mu
-    lam, mu = tuple(lam), tuple(mu)
-    return (mu, lam) if canonical_key(mu) < canonical_key(lam) else (lam, mu)
-
-
 def _parse_field(text, parsed: dict) -> Partition:
     """A record's partition field, parsed once per distinct text in one load."""
     if type(text) is not str:
@@ -100,7 +96,7 @@ def _record_line(key, product: dict) -> str:
 
 
 class CoefficientCache:
-    """Append-only JSONL store of stable products keyed by the pair (lam, mu).
+    """Append-only JSONL store of stable products keyed by pair_key(lam, mu).
 
     Reads tolerate corrupt or partially written lines and records that fail
     the dimension identity (skipped with a warning), treat pairs whose
@@ -171,19 +167,19 @@ class CoefficientCache:
         except (KeyError, ValueError, TypeError) as exc:
             log.warning("%s:%d: skipping corrupt cache line (%s)", self.path, lineno, exc)
             return None
-        return _canonical_pair(lam, mu), product
+        return pair_key(lam, mu), product
 
     # -- queries -----------------------------------------------------------
 
     def get(self, lam: Partition, mu: Partition):
         """The stored product {nu: coefficient} of lam and mu, or None."""
-        return self._load().get(_canonical_pair(lam, mu))
+        return self._load().get(pair_key(lam, mu))
 
     def put(self, lam: Partition, mu: Partition, product: dict):
         """Record the product of lam and mu, appending its line unless the
         index already holds it."""
         index = self._load()
-        key = _canonical_pair(lam, mu)
+        key = pair_key(lam, mu)
         if index.get(key) == product:
             return
         index[key] = product

@@ -118,6 +118,21 @@ def gamma_count_bruteforce(a, b, c, d, x, y):
     )
 
 
+def pairs_with_total(max_boxes, equal_sizes=False):
+    """Unordered pairs with |lam| + |mu| <= max_boxes, canonical order, by
+    testing every ordered pair of partitions."""
+    from kroncave.partitions import canonical_key, partitions_of
+
+    for total in range(max_boxes + 1):
+        for a in range(total + 1):
+            if equal_sizes and 2 * a != total:
+                continue
+            for lam in sorted(partitions_of(a)):
+                for mu in sorted(partitions_of(total - a)):
+                    if canonical_key(lam) <= canonical_key(mu):
+                        yield lam, mu
+
+
 def _inside(outer, n):
     """Partitions of n whose diagrams fit inside outer."""
     from kroncave.partitions import partitions_of

@@ -29,7 +29,7 @@ from kroncave.partitions import (
 )
 from kroncave.store import ENGINE_VERSION, CoefficientCache, parse_partition_text
 
-from oracles import jacobi_trudi_kronecker
+from oracles import jacobi_trudi_kronecker, pairs_with_total
 
 
 @pytest.fixture
@@ -188,9 +188,7 @@ class TestChainConjecture:
         assert check_payload("chain", [(1,), (1, 1), (1, 1, 1)]).passed
 
     def test_two_inputs_agree_with_sort(self):
-        from kroncave.conjectures import _pairs_with_total
-
-        for lam, mu in _pairs_with_total(6):
+        for lam, mu in pairs_with_total(6):
             chain = check_payload("chain", [lam, mu])
             sort = check_payload("sort", (lam, mu))
             assert chain.passed == sort.passed, (lam, mu)
@@ -437,7 +435,7 @@ class TestScan:
         row = conjectures.SCANS["midpoint_reduced"]
 
         def every_pair(max_boxes, equal_sizes, n):
-            return list(conjectures._pairs_with_total(max_boxes, equal_sizes)), 0
+            return list(pairs_with_total(max_boxes, equal_sizes)), 0
 
         monkeypatch.setitem(conjectures.SCANS, "midpoint_reduced", row._replace(payloads=every_pair))
         with pytest.raises(NotIntegral):
@@ -445,18 +443,23 @@ class TestScan:
 
     def test_parity_filter_matches_midpoint(self):
         admitted = set(conjectures._midpoint_pairs(8, False, 2)[0])
-        for lam, mu in conjectures._pairs_with_total(8):
+        for lam, mu in pairs_with_total(8):
             assert ((lam, mu) in admitted) == has_exact_midpoint(lam, mu), (lam, mu)
 
     @pytest.mark.parametrize("equal_sizes", [False, True])
     def test_midpoint_enumerator_is_the_filtered_pairs(self, equal_sizes):
-        """The bucketed enumerator yields the candidate pairs with an exact
-        midpoint, in their order, and counts the rest as skipped."""
+        """Every pair row's enumerator yields the candidate pairs its larger
+        side is defined on, in their order, and counts the rest as skipped: a
+        midpoint row keeps the pairs with an exact midpoint, sort keeps all."""
         for max_boxes in range(15):
-            every = list(conjectures._pairs_with_total(max_boxes, equal_sizes))
-            kept = [pair for pair in every if has_exact_midpoint(*pair)]
-            got = conjectures._midpoint_pairs(max_boxes, equal_sizes, 2)
-            assert got == (kept, len(every) - len(kept)), max_boxes
+            every = list(pairs_with_total(max_boxes, equal_sizes))
+            exact = [pair for pair in every if has_exact_midpoint(*pair)]
+            for name, row in conjectures.SCANS.items():
+                if not row.pairs:
+                    continue
+                kept = exact if row.larger is conjectures._midpoint_squared else every
+                got = row.payloads(max_boxes, equal_sizes, 2)
+                assert got == (kept, len(every) - len(kept)), (name, max_boxes)
 
     def test_cache_lines_match_across_job_counts(self, tmp_path):
         lines = []
@@ -545,7 +548,7 @@ class TestScan:
 
         for module in (coefficients, conjectures):
             monkeypatch.setattr(module, expand, counted)
-        payloads = list(conjectures._pairs_with_total(max_boxes, name == "midpoint_kronecker"))
+        payloads = list(pairs_with_total(max_boxes, name == "midpoint_kronecker"))
         checked, violations = [], []
         for payload in payloads:
             clear_caches()
@@ -655,7 +658,7 @@ class TestPinnedChecks:
         This pins each check's subject, its violation texts (';'-joined for
         chain) and what it counts as scanned (targets for schur_lr)."""
         if n is None:
-            payloads = conjectures._pairs_with_total(max_boxes, name == "midpoint_kronecker")
+            payloads = pairs_with_total(max_boxes, name == "midpoint_kronecker")
         else:
             payloads = conjectures._multisets_with_total(max_boxes, n)
         lines = []

@@ -365,6 +365,17 @@ def test_the_partition_rule_has_one_home():
     assert not found, found
 
 
+def test_the_pair_order_has_one_home():
+    """Only partitions.pair_key puts an unordered pair in order, so the memos
+    and the cache key a symmetric product alike."""
+    found = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "partitions.py" and "(mu, lam)" in path.read_text()
+    ]
+    assert not found, found
+
+
 def test_lr_coefficient_reaches_neither_lr_expand_nor_its_walk():
     """lr_coefficient is the oracle that tests compare lr_expand against, so it
     stays independent of the walk and of the rule that orients it."""
