@@ -39,7 +39,8 @@ B = sum_rho |C_rho| M_rho^3 in absolute value, with M_rho the largest
 |chi_nu(rho)| in the stored column, and a slot holds [-2^(8w-1), 2^(8w-1))
 with 2^(8w-1) > B. So a decoded total outside [-B, B] means the packing
 broke, and raises InvariantViolation; every total still goes through the n!
-divisibility and sign checks. The table is built once per n from complete rows, and
+divisibility and sign checks, and the decoded product through the dimension
+check in tensor_decompose. The table is built once per n from complete rows, and
 rebuilt when one of its rows is no longer the one the row store holds.
 
 Littlewood-Richardson coefficients count skew tableaux by depth-first
@@ -261,21 +262,27 @@ def _packed_table(n: int) -> _PackedTable:
 
 def tensor_decompose(lam: Partition, mu: Partition) -> dict[Partition, int]:
     """Full decomposition of the S_n tensor product lam (x) mu as {nu: multiplicity},
-    nonzero entries only, from one packed class sum (module docstring)."""
+    nonzero entries only, from one packed class sum (module docstring).
+
+    The decoded product is checked against its dimension at the identity,
+    sum_nu g_nu f^nu = f^lam f^mu, with each f read from the identity class,
+    the last of partitions_of(n), in the complete rows; InvariantViolation
+    otherwise."""
     check_partitions(lam, mu)
     n = sum(lam)
     if sum(mu) != n:
         raise SizeMismatch(f"sizes differ: {sum(lam)} vs {sum(mu)}")
     table = _packed_table(n)
-    weights = map(mul, _full_row(tuple(lam)), _full_row(tuple(mu)))
-    total = sum(map(mul, weights, table.columns)) + table.offset
+    row_lam, row_mu = _full_row(tuple(lam)), _full_row(tuple(mu))
+    total = sum(map(mul, map(mul, row_lam, row_mu), table.columns)) + table.offset
     width, bound, half = table.width, table.bound, table.half
     try:
         data = total.to_bytes(width * len(table.rows), "little")
     except OverflowError:
         raise InvariantViolation(f"packed class sum left its slots in S_{n}") from None
     out = {}
-    for start, nu in zip(range(0, len(data), width), partitions_of(n)):
+    dimension = 0
+    for start, nu, row in zip(range(0, len(data), width), partitions_of(n), table.rows):
         value = int.from_bytes(data[start : start + width], "little") - half
         if not -bound <= value <= bound:
             raise InvariantViolation(
@@ -284,6 +291,11 @@ def tensor_decompose(lam: Partition, mu: Partition) -> dict[Partition, int]:
         value = _multiplicity(value, nu, n)
         if value:
             out[nu] = value
+            dimension += value * row[-1]
+    if dimension != row_lam[-1] * row_mu[-1]:
+        raise InvariantViolation(
+            f"{lam} (x) {mu} has dimension {dimension}, not {row_lam[-1] * row_mu[-1]}, in S_{n}"
+        )
     return out
 
 
@@ -490,9 +502,7 @@ def _padded_share(pairs, workers: int, w: int) -> list[int]:
     reduced values, so its answer depends on its arguments alone."""
     out = []
     for lam, mu, nu, d in _padded_targets(pairs):
-        for n in (d, d + 1):
-            if n % workers == w:
-                out.append(kronecker(pad(lam, n), pad(mu, n), pad(nu, n)))
+        out += kronecker_sequence(lam, mu, nu, [n for n in (d, d + 1) if n % workers == w])
     return out
 
 

@@ -319,6 +319,8 @@ def check_murnaghan_littlewood(budget: int) -> ViolationReport:
     equality check, so a mismatch is recorded with the two values ordered
     smaller first to keep the report invariant.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     start = time.monotonic()
     scanned = 0
     violations = []

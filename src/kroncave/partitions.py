@@ -37,15 +37,20 @@ def pair_key(lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
     return (mu, lam) if a > b or (a == b and mu < lam) else (lam, mu)
 
 
-def pad(p: Partition, d: int) -> Partition:
-    """Prepend a long first row so the result is a partition of d.
-
-    p's first row is read as the length of its conjugate, so a non-partition
-    raises ValueError."""
-    head = d - sum(p)
+def _pad_head(p: Partition, d: int) -> int:
+    """d - |p|, the first row of pad(p, d). Raises ValueError unless p is a
+    partition (its first row is read as the length of its conjugate), then
+    PadTooSmall unless that row is at least p's first row."""
     first = len(conjugate(p))
+    head = d - sum(p)
     if head < first:
         raise PadTooSmall(f"need d >= {sum(p) + first} to pad {p or '()'}, got {d}")
+    return head
+
+
+def pad(p: Partition, d: int) -> Partition:
+    """Prepend a long first row so the result is a partition of d (_pad_head)."""
+    head = _pad_head(p, d)
     if head == 0:
         return p  # only possible for the empty partition
     return (head,) + p
@@ -135,15 +140,13 @@ def padded_syt_count(p: Partition, n: int) -> int:
     Rows 2 and below of p[n] have p's own hooks. With m = n - |p|, the first
     row's hook at column j is m - j + 1 + p'_j for j <= p1 and m - j + 1
     after that, so the first row contributes (m - p1)! times the product of
-    the first p1 of them. Raises PadTooSmall, as pad does, when m < p1; the
-    division is checked exact as in syt_count.
+    the first p1 of them. Raises as pad does (_pad_head) when m < p1 or p is
+    not a partition; the division is checked exact as in syt_count.
     """
-    m = n - sum(p)
-    first = part(p, 1)
-    if m < first:
-        raise PadTooSmall(f"need d >= {sum(p) + first} to pad {p or '()'}, got {n}")
-    row = math.prod(m - j + c for j, c in enumerate(conjugate(p)))
-    hooks = math.prod(hook_lengths(p)) * math.factorial(m - first) * row
+    m = _pad_head(p, n)
+    conj = conjugate(p)
+    row = math.prod(m - j + c for j, c in enumerate(conj))
+    hooks = math.prod(hook_lengths(p)) * math.factorial(m - len(conj)) * row
     value, rest = divmod(math.factorial(n), hooks)
     if rest:
         raise InvariantViolation(f"hook product does not divide {n}!")

@@ -35,6 +35,7 @@ from kroncave.partitions import (
     midpoint,
     murnaghan_inequalities,
     pad,
+    padded_syt_count,
     part,
     partitions_of,
     partitions_up_to,
@@ -873,6 +874,34 @@ class TestInvariantChecks:
             "InvariantViolation: negative multiplicity -1 for (2, 1) in S_3",
         ]
 
+    def test_dimension_check_survives_optimize_flag(self):
+        """One decoded multiplicity off by one fails sum_nu g_nu f^nu = f^lam f^mu.
+        (2,1) (x) (2,1) = (3) + (2,1) + (1,1,1): 1 + 2*2 + 1 = 6 against 2*2 = 4
+        once the (2,1) term reads 2."""
+        code = (
+            "from kroncave import coefficients\n"
+            "from kroncave.errors import InvariantViolation\n"
+            "if __debug__:\n"
+            "    raise SystemExit('not running under -O')\n"
+            "print(coefficients.tensor_decompose((2, 1), (2, 1)))\n"
+            "decode = coefficients._multiplicity\n"
+            "coefficients._multiplicity = lambda t, nu, n: decode(t, nu, n) + (nu == (2, 1))\n"
+            "try:\n"
+            "    coefficients.tensor_decompose((2, 1), (2, 1))\n"
+            "except InvariantViolation as exc:\n"
+            "    print('InvariantViolation:', exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kroncave.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "{(3,): 1, (2, 1): 1, (1, 1, 1): 1}",
+            "InvariantViolation: (2, 1) (x) (2, 1) has dimension 6, not 4, in S_3",
+        ]
+
     def test_total_past_the_slot_bound_raises(self):
         clear_caches()
         lam = (3, 2, 1)
@@ -905,6 +934,7 @@ class TestInvariantChecks:
         (stable_ring_compare, ({(1, 0): 1}, {(1,): 1})),  # was incomparable
         (stable_ring_compare, ({(1, 2): 1}, {(2, 1): 1})),  # was incomparable
         (pad, ((1, 2), 6)),  # was (3, 1, 2)
+        (padded_syt_count, ((1, 2), 2)),  # was PadTooSmall, checked first
         (stabilization_start, ((1, 0), (1,), (1,))),  # was 3
         (midpoint, ((1, 2), (1, 2))),  # was (1, 2)
         (midpoint, ((2,), (0, 2))),  # was (1, 1)
@@ -916,8 +946,8 @@ class TestInvariantChecks:
          "increasing-lr-expand", "zero-target-hook", "trailing-zero-target-hook",
          "increasing-target-two-row", "zero-part-tensor", "zero-part-midpoint-kronecker",
          "zero-part-character", "zero-part-compare", "increasing-compare",
-         "increasing-pad", "zero-part-stabilization-start", "increasing-midpoint",
-         "zero-part-midpoint", "zero-part-union", "increasing-interleave"],
+         "increasing-pad", "increasing-padded-count", "zero-part-stabilization-start",
+         "increasing-midpoint", "zero-part-midpoint", "zero-part-union", "increasing-interleave"],
 )
 def test_non_partitions_raise_before_any_shortcut(function, args):
     """A zero, negative or increasing part is a ValueError, never a value

@@ -265,6 +265,11 @@ class TestMurnaghanLittlewood:
             assert report.passed
             assert report.pairs_scanned > 0
 
+    def test_negative_budget_rejected(self):
+        """As scan rejects a negative max_boxes, instead of passing over no triple."""
+        with pytest.raises(ValueError, match=r"^budget must be >= 0, got -1$"):
+            check_murnaghan_littlewood(-1)
+
     def test_golden_probe(self):
         lam, mu, nu = (6, 4, 2), (4, 2, 2), (8, 6, 4, 2)
         from kroncave.coefficients import lr_coefficient

@@ -376,6 +376,22 @@ def test_the_pair_order_has_one_home():
     assert not found, found
 
 
+def raises_pad_too_small(node):
+    """raise PadTooSmall(...)."""
+    return (
+        isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "PadTooSmall"
+    )
+
+
+def test_the_padding_rule_has_one_home():
+    """pad and padded_syt_count check a padding size through one helper, so
+    they reject the same sizes with the same message."""
+    found = package_nodes(raises_pad_too_small)
+    assert len(found) == 1 and found[0].startswith("partitions.py:"), found
+
+
 def test_lr_coefficient_reaches_neither_lr_expand_nor_its_walk():
     """lr_coefficient is the oracle that tests compare lr_expand against, so it
     stays independent of the walk and of the rule that orients it."""
