@@ -14,6 +14,7 @@ from kroncave.partitions import (
     murnaghan_inequalities,
     pad,
     padded_syt_count,
+    pair_key,
     part,
     partitions_of,
     partitions_up_to,
@@ -51,6 +52,17 @@ class TestAsPartition:
     @given(partitions())
     def test_idempotent(self, p):
         assert conjugate(conjugate(p)) == p
+
+
+class TestPairKey:
+    def test_is_the_canonical_order_of_the_two(self):
+        """Smaller size first, then tuple order: (2) comes before (1,1,1),
+        which tuple comparison alone puts first."""
+        assert pair_key((1, 1, 1), (2,)) == ((2,), (1, 1, 1))
+        shapes = list(partitions_up_to(6))
+        for lam in shapes:
+            for mu in shapes:
+                assert pair_key(lam, mu) == tuple(sorted((lam, mu), key=canonical_key))
 
 
 class TestPad:
